@@ -55,10 +55,10 @@ void report(const char* label, double rate, const session::ExperimentResult& r) 
   std::printf("%-26s %6.1f %9.3f %9.3f %9.3f %7zu %5llu %5llu %5llu %5llu\n",
               label, rate, frame_rate, r.summary.mean_total_s,
               r.summary.mean_comm_wan_s, r.failed_accesses,
-              static_cast<unsigned long long>(r.robustness.timeouts),
-              static_cast<unsigned long long>(r.robustness.failovers),
-              static_cast<unsigned long long>(r.robustness.retries),
-              static_cast<unsigned long long>(r.robustness.replicas_repaired));
+              bench::counter(*r.obs, "ibp.timeouts"),
+              bench::counter(*r.obs, "lors.failovers"),
+              bench::counter(*r.obs, "lors.retries"),
+              bench::counter(*r.obs, "lors.replicas_repaired"));
 }
 
 }  // namespace
@@ -94,14 +94,14 @@ int main() {
     }
     {
       session::ExperimentConfig cfg = base(rate);
-      cfg.retry.max_attempts = 4;
-      cfg.retry.base_backoff = 250 * kMillisecond;
+      cfg.agent.retry.max_attempts = 4;
+      cfg.agent.retry.base_backoff = 250 * kMillisecond;
       report("+ retry", rate, session::run_experiment(cfg));
     }
     {
       session::ExperimentConfig cfg = base(rate);
-      cfg.retry.max_attempts = 4;
-      cfg.retry.base_backoff = 250 * kMillisecond;
+      cfg.agent.retry.max_attempts = 4;
+      cfg.agent.retry.base_backoff = 250 * kMillisecond;
       cfg.repair_interval = 5 * kSecond;
       cfg.repair_batch = 8;
       report("+ retry + repair", rate, session::run_experiment(cfg));
@@ -112,15 +112,15 @@ int main() {
   {
     session::ExperimentConfig cfg = base(0.0);
     cfg.faults = permanent_loss_plan();
-    cfg.retry.max_attempts = 4;
-    cfg.retry.base_backoff = 250 * kMillisecond;
+    cfg.agent.retry.max_attempts = 4;
+    cfg.agent.retry.base_backoff = 250 * kMillisecond;
     report("loss, no repair", 0.0, session::run_experiment(cfg));
   }
   {
     session::ExperimentConfig cfg = base(0.0);
     cfg.faults = permanent_loss_plan();
-    cfg.retry.max_attempts = 4;
-    cfg.retry.base_backoff = 250 * kMillisecond;
+    cfg.agent.retry.max_attempts = 4;
+    cfg.agent.retry.base_backoff = 250 * kMillisecond;
     cfg.repair_interval = 5 * kSecond;
     cfg.repair_batch = 8;
     report("loss, repair sweeps", 0.0, session::run_experiment(cfg));

@@ -21,7 +21,7 @@ int main() {
       session::ExperimentConfig cfg =
           bench::small_config(200, session::Case::kWanStreaming);
       cfg.wan_bandwidth_bps = 50e6;  // make WAN fetches cost a visible fraction
-      cfg.prefetch = prefetch;
+      cfg.agent.prefetch = prefetch;
       cfg.dwell = from_seconds(dwell_s);
       const session::ExperimentResult result = session::run_experiment(cfg);
       std::printf("%-10s %6.2f s %10.3f s %10.3f s %8zu %8zu\n",

@@ -10,10 +10,10 @@
 namespace {
 
 void report(const char* label, const lon::session::ExperimentResult& result) {
-  std::printf("%-34s %10.3f s %10.3f s %7zu %8.2f %6zu\n", label,
+  std::printf("%-34s %10.3f s %10.3f s %7zu %8.2f %6llu\n", label,
               result.summary.mean_total_s, result.summary.mean_total_phase2_s,
               result.summary.initial_phase, result.summary.wan_rate_initial,
-              result.staged_at_end);
+              lon::bench::counter(*result.obs, "agent.staged"));
 }
 
 }  // namespace
@@ -46,17 +46,17 @@ int main() {
   }
   {
     session::ExperimentConfig cfg = base();
-    cfg.staging_order = streaming::ClientAgentConfig::StagingOrder::kFifo;
+    cfg.agent.staging_order = streaming::ClientAgentConfig::StagingOrder::kFifo;
     report("fifo order", session::run_experiment(cfg));
   }
   {
     session::ExperimentConfig cfg = base();
-    cfg.pause_staging_on_miss = true;
+    cfg.agent.pause_staging_on_miss = true;
     report("pause staging on miss", session::run_experiment(cfg));
   }
   for (const int concurrency : {1, 2, 8}) {
     session::ExperimentConfig cfg = base();
-    cfg.staging_concurrency = concurrency;
+    cfg.agent.staging_concurrency = concurrency;
     char label[64];
     std::snprintf(label, sizeof label, "staging concurrency %d", concurrency);
     report(label, session::run_experiment(cfg));

@@ -45,6 +45,12 @@ inline session::ExperimentConfig small_config(std::size_t resolution,
   return cfg;
 }
 
+/// Run-wide total of one registry counter ("agent.hits", "lors.retries"),
+/// summed over every instance, typed for printf's %llu.
+inline unsigned long long counter(const obs::Context& obs, const std::string& name) {
+  return obs.metrics.counter_total(name);
+}
+
 /// Dumps a run's observability artifacts next to the bench output when
 /// LON_OBS_DIR is set: `<dir>/<label>.metrics.jsonl` (flat registry dump)
 /// and `<dir>/<label>.trace.json` (Chrome trace_event — load in

@@ -253,15 +253,17 @@ DemandCopies measure_demand_copies(bool smoke) {
                                agent_node, cfg);
   const auto fetch = [&] {
     bool ok = false;
-    agent.request_view_set(id, [&](const Bytes& data, streaming::AccessClass,
-                                   SimDuration) { ok = !data.empty(); });
+    agent.request_view_set(id, [&](const streaming::ClientAgent::Delivery& d) {
+      ok = !d.payload->empty();
+    });
     sim.run();
     if (!ok) throw std::runtime_error("demand scenario fetch failed");
   };
   fetch();
-  result.cold_copied_bytes = agent.stats().payload_copy_bytes;
+  result.cold_copied_bytes = agent.counter("agent.payload_copy_bytes");
   fetch();
-  result.warm_copied_bytes = agent.stats().payload_copy_bytes - result.cold_copied_bytes;
+  result.warm_copied_bytes =
+      agent.counter("agent.payload_copy_bytes") - result.cold_copied_bytes;
   return result;
 }
 

@@ -90,12 +90,12 @@ Row run_scenario(const Scenario& s, bool smoke) {
   const SimDuration dwell = 35 * kMillisecond;
   cfg.dwell = dwell;
 
-  cfg.prefetch_strategy = s.strategy;
-  cfg.eviction = s.eviction;
-  cfg.agent_cache_bytes = s.cache_bytes;
+  cfg.agent.prefetch_strategy = s.strategy;
+  cfg.agent.eviction = s.eviction;
+  cfg.agent.cache_bytes = s.cache_bytes;
   // Give the predictive scheduler an explicit budget so the bench also
   // exercises the inflight cap; quadrant issues at most 3 anyway.
-  cfg.prefetch_max_inflight = 4;
+  cfg.agent.prefetch_max_inflight = 4;
 
   lightfield::SphericalLattice lattice(cfg.lattice);
   cfg.script = make_script(lattice, s.script, dwell, smoke);
@@ -115,15 +115,15 @@ Row run_scenario(const Scenario& s, bool smoke) {
   if (!totals.empty())
     row.p99_s = totals[(totals.size() - 1) * 99 / 100];
 
-  const auto& stats = result.agent_stats;
-  row.hit_rate = stats.requests > 0 ? static_cast<double>(stats.hits) /
-                                          static_cast<double>(stats.requests)
-                                    : 0.0;
-  row.predictions = stats.predictions;
-  row.prefetches = stats.prefetches;
-  row.pollution_evictions = stats.pollution_evictions;
-  row.rejected_prefetch = stats.rejected_prefetch;
   const auto& reg = result.obs->metrics;
+  const std::uint64_t requests = reg.counter_total("agent.requests");
+  row.hit_rate = requests > 0 ? static_cast<double>(reg.counter_total("agent.hits")) /
+                                    static_cast<double>(requests)
+                              : 0.0;
+  row.predictions = reg.counter_total("policy.predictions");
+  row.prefetches = reg.counter_total("agent.prefetches");
+  row.pollution_evictions = reg.counter_total("cache.pollution_evictions");
+  row.rejected_prefetch = reg.counter_total("cache.rejected_prefetch");
   row.prefetch_bytes = reg.counter_total("prefetch.bytes");
   row.useful_bytes = reg.counter_total("prefetch.useful_bytes");
   row.wasted_bytes = row.prefetch_bytes - std::min(row.useful_bytes, row.prefetch_bytes);

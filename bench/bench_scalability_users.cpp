@@ -6,7 +6,7 @@
 // serve multiple clients, especially in a mobile environment".
 //
 // N clients share one client agent (case 3: WAN database + LAN staging) via
-// session::run_multi_client; each browses its own orchestrated path. As N
+// session::multi_client + run_scenario; each browses its own orchestrated path. As N
 // grows, the shared agent cache and the prestaged LAN replicas absorb more
 // of the load; per-client latency should degrade sub-linearly. Per-client
 // p50/p99 come from each client's own obs histogram.
@@ -14,14 +14,13 @@
 // Flags:
 //   --smoke   smaller configuration for the CI perf gate (fast, deterministic)
 //   --json    machine-readable output (one JSON object) for ci/perf_gate.py
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "session/experiment.hpp"
+#include "session/scenario.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
@@ -53,21 +52,18 @@ struct Row {
 };
 
 Row run_users(int n_clients, std::size_t accesses_per_client, bool admission = false) {
-  session::MultiClientConfig mc;
-  mc.clients = n_clients;
-  mc.accesses_per_client = accesses_per_client;
-  mc.client_seed = 100;
+  session::ExperimentConfig base;
   // The large-N rows run with overload protection on: at crowd scale the
   // unprotected configuration is exactly the collapse bench_scenarios
   // demonstrates, while the protected one should keep p99 degradation flat.
   if (admission) {
-    mc.base.admission.enabled = true;
-    mc.base.admission.max_queue = 8;
-    mc.base.admission.tokens_per_sec = 2.0;
-    mc.base.admission.token_burst = 4.0;
-    mc.base.admission.deadline_triage = false;
-    mc.base.client.shed_retry.max_attempts = 8;
-    mc.base.client.shed_retry.base_backoff = 250 * kMillisecond;
+    base.agent.admission.enabled = true;
+    base.agent.admission.max_queue = 8;
+    base.agent.admission.tokens_per_sec = 2.0;
+    base.agent.admission.token_burst = 4.0;
+    base.agent.admission.deadline_triage = false;
+    base.client.shed_retry.max_attempts = 8;
+    base.client.shed_retry.base_backoff = 250 * kMillisecond;
   }
 
   // Latency study over a filler database: transfer/staging shape is
@@ -76,41 +72,36 @@ Row run_users(int n_clients, std::size_t accesses_per_client, bool admission = f
   lattice.angular_step_deg = 7.5;  // 8x16 = 128 view sets
   lattice.view_set_span = 3;
   lattice.view_resolution = 200;
-  mc.base.lattice = lattice;
-  mc.base.which = session::Case::kWanWithLanDepot;
-  mc.base.all_filler = true;
-  mc.base.client.decode = false;
-  mc.base.client.timing = streaming::ClientConfig::Timing::kModeled;
+  base.lattice = lattice;
+  base.which = session::Case::kWanWithLanDepot;
+  base.all_filler = true;
+  base.client.decode = false;
+  base.client.timing = streaming::ClientConfig::Timing::kModeled;
   // The shared pool carries stripe verification; virtual results are
   // identical with or without it (the bench doubles as a determinism check).
-  mc.base.pool = &ThreadPool::shared();
+  base.pool = &ThreadPool::shared();
 
-  const session::MultiClientResult result = session::run_multi_client(mc);
+  const session::ScenarioResult result = session::run_scenario(session::multi_client(
+      base, n_clients, accesses_per_client, /*seed=*/100, 250 * kMillisecond));
+  const obs::Registry& metrics = result.obs->metrics;
 
   Row row;
   row.users = n_clients;
   row.admission = admission;
-  row.virtual_duration_s = to_seconds(result.script_duration);
+  row.virtual_duration_s = to_seconds(result.duration);
   row.failed = result.failed_accesses;
-  double total_latency = 0.0;
-  double p99_sum = 0.0;
-  for (const auto& pc : result.clients) {
-    row.accesses += pc.accesses.size();
-    total_latency += pc.summary.mean_total_s * static_cast<double>(pc.accesses.size());
-    row.p99_worst_s = std::max(row.p99_worst_s, pc.p99_total_s);
-    p99_sum += pc.p99_total_s;
-  }
-  row.mean_total_s =
-      row.accesses > 0 ? total_latency / static_cast<double>(row.accesses) : 0.0;
-  row.p99_mean_s = p99_sum / static_cast<double>(result.clients.size());
-  const auto& stats = result.agent_stats;
-  row.hit_rate = stats.requests > 0
-                     ? static_cast<double>(stats.hits) / static_cast<double>(stats.requests)
-                     : 0.0;
-  row.lan = stats.lan_accesses;
-  row.wan = stats.wan_accesses;
+  row.accesses = result.total_accesses;
+  row.mean_total_s = result.mean_total_s;
+  row.p99_worst_s = result.p99_worst_s;
+  row.p99_mean_s = result.p99_mean_s;
+  const std::uint64_t requests = metrics.counter_total("agent.requests");
+  row.hit_rate = requests > 0 ? static_cast<double>(metrics.counter_total("agent.hits")) /
+                                    static_cast<double>(requests)
+                              : 0.0;
+  row.lan = metrics.counter_total("agent.lan_accesses");
+  row.wan = metrics.counter_total("agent.wan_accesses");
   row.min_delivered = result.min_client_delivered;
-  row.demand_shed = stats.demand_shed;
+  row.demand_shed = metrics.counter_total("agent.demand_shed");
   row.sim_events = result.sim_events;
   row.reallocs = result.net_reallocs;
   row.realloc_flows_touched = result.net_realloc_flows_touched;

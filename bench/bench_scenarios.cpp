@@ -53,7 +53,7 @@ void print_json(const std::vector<Row>& rows, bool smoke) {
               smoke ? "smoke" : "full");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const session::ScenarioResult& r = rows[i].r;
-    const auto& rb = r.robustness;
+    const auto n = [&](const char* name) { return bench::counter(*r.obs, name); };
     std::printf(
         "%s{\"name\":\"%s\",\"clients\":%zu,\"accesses\":%zu,\"failed\":%zu,"
         "\"min_delivered\":%zu,\"mean_total_s\":%.6f,\"p99_worst_s\":%.6f,"
@@ -69,28 +69,14 @@ void print_json(const std::vector<Row>& rows, bool smoke) {
         "\"virtual_duration_s\":%.3f}",
         i == 0 ? "" : ",", r.name.c_str(), r.clients.size(), r.total_accesses,
         r.failed_accesses, r.min_client_delivered, r.mean_total_s, r.p99_worst_s,
-        r.p99_mean_s, rows[i].slo_s, r.shed_fraction,
-        static_cast<unsigned long long>(rb.demand_shed),
-        static_cast<unsigned long long>(rb.shed_retries),
-        static_cast<unsigned long long>(rb.downgrades),
-        static_cast<unsigned long long>(rb.upgrades),
-        static_cast<unsigned long long>(rb.degrade_lod),
-        static_cast<unsigned long long>(rb.hot_reports),
-        static_cast<unsigned long long>(rb.augments),
-        static_cast<unsigned long long>(rb.failovers),
-        static_cast<unsigned long long>(rb.corruption_detected),
-        rows[i].deadline_misses,
-        static_cast<unsigned long long>(rb.lod_coarse_serves),
-        static_cast<unsigned long long>(rb.lod_refinements),
-        static_cast<unsigned long long>(rb.lod_refined),
-        static_cast<unsigned long long>(rb.restaged),
-        static_cast<unsigned long long>(rb.restage_coalesced),
-        static_cast<unsigned long long>(rb.site_hits),
-        static_cast<unsigned long long>(rb.site_adopted),
-        static_cast<unsigned long long>(rb.stage_wan_bytes),
-        static_cast<unsigned long long>(rb.site_restage_leaders),
-        static_cast<unsigned long long>(rb.site_restage_keys),
-        to_seconds(r.duration));
+        r.p99_mean_s, rows[i].slo_s, r.shed_fraction, n("agent.demand_shed"),
+        n("session.shed_retries"), n("agent.downgrades"), n("agent.upgrades"),
+        n("agent.degrade_lod"), n("agent.hot_reports"), n("server.augments"),
+        n("lors.failovers"), n("lors.corruption_detected"), rows[i].deadline_misses,
+        n("agent.lod_coarse_serves"), n("agent.lod_refinements"), n("agent.lod_refined"),
+        n("agent.restaged"), n("agent.restage_coalesced"), n("agent.site_hits"),
+        n("agent.site_adopted"), n("agent.stage_wan_bytes"), n("site.restage_leaders"),
+        n("site.restage_keys"), to_seconds(r.duration));
   }
   std::printf("]}\n");
 }
@@ -139,11 +125,11 @@ int main(int argc, char** argv) {
         "%-26s %8zu %9zu %7zu %10.3f %10.3f %10.3f %7zu %7llu %7llu %7llu %7llu %7llu\n",
         r.name.c_str(), r.clients.size(), r.total_accesses, r.failed_accesses,
         r.mean_total_s, r.p99_worst_s, r.p99_mean_s, row.deadline_misses,
-        static_cast<unsigned long long>(r.robustness.demand_shed),
-        static_cast<unsigned long long>(r.robustness.shed_retries),
-        static_cast<unsigned long long>(r.robustness.degrade_lod),
-        static_cast<unsigned long long>(r.robustness.lod_coarse_serves),
-        static_cast<unsigned long long>(r.robustness.lod_refined));
+        bench::counter(*r.obs, "agent.demand_shed"),
+        bench::counter(*r.obs, "session.shed_retries"),
+        bench::counter(*r.obs, "agent.degrade_lod"),
+        bench::counter(*r.obs, "agent.lod_coarse_serves"),
+        bench::counter(*r.obs, "agent.lod_refined"));
   }
   return 0;
 }

@@ -30,12 +30,12 @@ inline void run_latency_figure(std::size_t resolution, const char* figure,
     std::printf(
         "mean=%.3fs phase2_mean=%.3fs max=%.3fs initial_phase=%zu "
         "wan_rate_initial=%.2f hit_rate_initial=%.2f hits=%zu lan=%zu wan=%zu "
-        "staged=%zu\n",
+        "staged=%llu\n",
         result.summary.mean_total_s, result.summary.mean_total_phase2_s,
         result.summary.max_total_s, result.summary.initial_phase,
         result.summary.wan_rate_initial, result.summary.hit_rate_initial,
         result.summary.hits, result.summary.lan, result.summary.wan,
-        result.staged_at_end);
+        counter(*result.obs, "agent.staged"));
   }
 }
 

@@ -48,9 +48,11 @@ int main(int argc, char** argv) {
 
   std::printf("\n");
   session::print_summary(std::cout, to_string(cfg.which), result.summary);
-  std::printf("database: %.1f MB compressed (%.1fx); %zu/%zu view sets prestaged\n",
-              result.db_compressed_bytes / 1e6, result.compression_ratio,
-              result.staged_at_end,
+  std::printf("database: %.1f MB compressed (%.1fx); %llu/%zu view sets prestaged\n",
+              result.db_compressed_bytes / 1e6,
+              result.db_uncompressed_bytes / result.db_compressed_bytes,
+              static_cast<unsigned long long>(
+                  result.obs->metrics.counter_total("agent.staged")),
               lightfield::SphericalLattice(cfg.lattice).view_set_count());
   std::printf("virtual session time: %.1f s\n", to_seconds(result.script_duration));
   return 0;

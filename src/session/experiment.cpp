@@ -1,10 +1,6 @@
 #include "session/experiment.hpp"
 
-#include <stdexcept>
-
 #include "session/scenario.hpp"
-#include "session/system.hpp"
-#include "util/log.hpp"
 
 namespace lon::session {
 
@@ -21,127 +17,27 @@ const char* to_string(Case c) {
 }
 
 ExperimentResult run_experiment(const ExperimentConfig& config) {
-  System sys(config, 1);
-  const lightfield::SphericalLattice& lattice = sys.source.lattice();
-
-  const CursorScript script =
-      config.script.has_value()
-          ? *config.script
-          : CursorScript::standard(lattice, config.dwell, config.accesses, config.seed);
-  PublishResult& published = sys.publish(config, {&script});
-
-  sys.make_agent(config);
-  sys.make_server_agent(config);
-  sys.make_clients(config);
-  streaming::Client& client = *sys.clients.front();
-  sim::Simulator& sim = sys.sim;
-
-  // --- Orchestrated run -------------------------------------------------------
-  // "As soon as visualization of a dataset begins, aggressive prestaging to
-  // the LAN depot is initiated."
-  const SimTime script_start = sim.now();
-  sys.agent->start_staging();
-
-  fault::FaultInjector injector(sim, sys.net, sys.fabric, sys.obs.get());
-  sys.arm_faults(injector, config.faults, script_start);
-  sys.start_repair(config);
-
-  bool done = false;
-  std::size_t step_index = 0;
-  std::size_t failed_accesses = 0;
-  // Each step waits until its view is renderable, then dwells before moving:
-  // the orchestrated operator moves at a controlled rate but never abandons
-  // a pending view (which keeps the access count at exactly `accesses`).
-  std::function<void()> advance = [&] {
-    if (step_index >= script.size()) {
-      done = true;
-      return;
-    }
-    const CursorStep step = script.steps()[step_index++];
-    client.set_view(step.direction, [&, step](bool ok) {
-      if (!ok) {
-        ++failed_accesses;
-        LON_LOG(kWarn, "experiment") << "view request failed; continuing";
-      }
-      sim.after(step.dwell, advance);
-    });
-  };
-  advance();
-  while (!done && sim.step()) {
-  }
-  const SimTime script_end = sim.now();
-
-  // --- Results ----------------------------------------------------------------
-  ExperimentResult result;
-  result.accesses = client.accesses();
-  result.summary = summarize(result.accesses);
-  result.agent_stats = sys.agent->stats();
-  result.staged_at_end = sys.agent->stats().staged;
-  result.staging_complete = sys.agent->staging_complete();
-  result.script_duration = script_end - script_start;
-  result.db_compressed_bytes = static_cast<double>(published.compressed_bytes);
-  result.db_uncompressed_bytes = static_cast<double>(published.uncompressed_bytes);
-  result.compression_ratio =
-      result.db_compressed_bytes > 0
-          ? result.db_uncompressed_bytes / result.db_compressed_bytes
-          : 0.0;
-  result.failed_accesses = failed_accesses;
-  result.fault_stats = injector.stats();
-  result.robustness = collect_robustness(sys.obs->metrics);
-  obs::Registry& metrics = sys.obs->metrics;
-  metrics.counter("sim.events_executed", "component=simnet").inc(sim.executed());
-  metrics.counter("sim.events_scheduled", "component=simnet").inc(sim.scheduled());
-  metrics.counter("sim.events_cancelled", "component=simnet").inc(sim.cancelled());
-  metrics.counter("net.reallocs", "component=simnet").inc(sys.net.reallocs());
-  metrics.counter("net.realloc_requests", "component=simnet")
-      .inc(sys.net.realloc_requests());
-  metrics.counter("net.realloc_flows_touched", "component=simnet")
-      .inc(sys.net.realloc_flows_touched());
-  result.obs = std::move(sys.obs);
-  return result;
-}
-
-MultiClientResult run_multi_client(const MultiClientConfig& mc) {
-  if (mc.clients < 1) {
-    throw std::invalid_argument("run_multi_client: clients < 1");
-  }
-  // A multi-client run is the simplest scenario: N standard seeded walks,
-  // evenly staggered. Everything below delegates to the scenario driver.
   Scenario scenario;
-  scenario.name = "multi-client";
-  scenario.base = mc.base;
-  const lightfield::SphericalLattice lattice(mc.base.lattice);
-  for (int i = 0; i < mc.clients; ++i) {
-    ScenarioClient sc;
-    sc.script = CursorScript::standard(
-        lattice, mc.base.dwell, mc.accesses_per_client,
-        mc.client_seed + static_cast<std::uint64_t>(i));
-    sc.start = static_cast<SimDuration>(i) * mc.start_stagger;
-    scenario.clients.push_back(std::move(sc));
-  }
+  scenario.name = to_string(config.which);
+  scenario.base = config;
+  ScenarioClient client;
+  client.script = config.script.has_value()
+                      ? *config.script
+                      : CursorScript::standard(lightfield::SphericalLattice(config.lattice),
+                                               config.dwell, config.accesses, config.seed);
+  scenario.clients.push_back(std::move(client));
   ScenarioResult run = run_scenario(scenario);
 
-  MultiClientResult result;
-  for (auto& pc : run.clients) {
-    MultiClientResult::PerClient out;
-    out.accesses = std::move(pc.accesses);
-    out.summary = pc.summary;
-    out.failed_accesses = pc.failed_accesses;
-    out.p50_total_s = pc.p50_total_s;
-    out.p99_total_s = pc.p99_total_s;
-    result.clients.push_back(std::move(out));
-  }
-  result.agent_stats = run.agent_stats;
-  result.script_duration = run.duration;
-  result.failed_accesses = run.failed_accesses;
-  result.min_client_delivered = run.min_client_delivered;
+  ScenarioResult::PerClient& only = run.clients.front();
+  ExperimentResult result;
+  result.accesses = std::move(only.accesses);
+  result.summary = only.summary;
+  result.failed_accesses = only.failed_accesses;
   result.staging_complete = run.staging_complete;
+  result.script_duration = run.duration;
+  result.db_compressed_bytes = run.db_compressed_bytes;
+  result.db_uncompressed_bytes = run.db_uncompressed_bytes;
   result.fault_stats = run.fault_stats;
-  result.sim_events = run.sim_events;
-  result.sim_scheduled = run.sim_scheduled;
-  result.net_reallocs = run.net_reallocs;
-  result.net_realloc_flows_touched = run.net_realloc_flows_touched;
-  result.wall_s = run.wall_s;
   result.obs = std::move(run.obs);
   return result;
 }

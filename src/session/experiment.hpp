@@ -63,22 +63,11 @@ struct ExperimentConfig {
   // Client behaviour.
   streaming::ClientConfig client;
 
-  // Agent behaviour (case-independent knobs; staging/prefetch are set by the
-  // case but can be overridden for ablations).
-  std::uint64_t agent_cache_bytes = 512ull << 20;
-  bool prefetch = true;
-  /// Policy engine: which prefetch scheduler and cache replacement policy the
-  /// agent runs, plus the predictive scheduler's budget/horizon knobs.
-  policy::PrefetchStrategy prefetch_strategy = policy::PrefetchStrategy::kQuadrant;
-  policy::EvictionStrategy eviction = policy::EvictionStrategy::kLru;
-  SimDuration prefetch_horizon = 2 * kSecond;
-  std::size_t prefetch_max_inflight = 0;   ///< 0 = unlimited
-  std::uint64_t prefetch_max_bytes = 0;    ///< 0 = unlimited
-  int staging_concurrency = 4;
-  streaming::ClientAgentConfig::StagingOrder staging_order =
-      streaming::ClientAgentConfig::StagingOrder::kProximity;
-  bool pause_staging_on_miss = false;
-  int wan_streams = 4;
+  /// Agent behaviour: cache, prefetch policy, staging discipline, retries,
+  /// admission, the degradation ladder and LOD streaming. System overwrites
+  /// the fields the topology owns on every agent it builds: `staging` (set by
+  /// the case), `lan_depots`, `lod_tiers`, `site_cache` and `pool`.
+  streaming::ClientAgentConfig agent;
 
   // Topology.
   double wan_bandwidth_bps = 100e6;
@@ -96,15 +85,10 @@ struct ExperimentConfig {
   bool full_network_resolve = false;
 
   // Robustness / fault injection. The defaults reproduce the fault-free
-  // runs exactly: no faults, no deadlines, no retries, no repair.
+  // runs exactly: no faults, no deadlines, no repair.
   int publish_replicas = 1;          ///< copies of each block across the WAN depots
   fault::FaultPlan faults;           ///< event times relative to script start
   ibp::FabricTimeouts timeouts;      ///< 0 = no per-operation deadlines
-  lors::RetryPolicy retry;           ///< agent download retry discipline
-  int max_refetch = 2;               ///< agent end-to-end re-resolutions
-  SimDuration staging_lease = 24 * 3600 * kSecond;
-  bool lease_refresh = false;        ///< keep staged soft copies alive
-  SimDuration lease_refresh_interval = 0;  ///< 0 = staging_lease / 4
 
   // --- Cooperative site cache / sharded DVS ---------------------------------
 
@@ -129,57 +113,35 @@ struct ExperimentConfig {
 
   // Concurrency (the parallel demand path). The defaults reproduce the
   // serial seed behaviour exactly.
-  ThreadPool* pool = nullptr;             ///< CPU pool for verify/codec work
-  bool pipeline_decompress = false;       ///< overlap decode with stripe arrival
-  std::size_t pipeline_inflight = 0;      ///< chunk decodes in flight (0 = 2x pool)
+  ThreadPool* pool = nullptr;  ///< CPU pool for publish, verify and codec work
   /// > 0: publish view sets as chunked (LFZC) containers of this chunk size,
   /// the format the pipeline can overlap. 0 = plain lfz (the seed format).
   std::uint64_t publish_chunk_bytes = 0;
 
-  // Overload protection. The defaults keep every mechanism off: no admission
-  // control, no degradation ladder, no coarse tier, no server agent — the
-  // fault-free runs reproduce the seed exactly.
-  streaming::AdmissionConfig admission;    ///< demand-path admission at the agent
-  SimDuration interactivity_deadline = 0;  ///< SLO the triage and ladder work to
-  bool degrade = false;                    ///< enable the degradation ladder
-  int degrade_after_misses = 3;            ///< deadline misses per rung down
-  int upgrade_after_hits = 8;              ///< clean deliveries per rung up
-  /// > 0: publish a coarse tier at this view resolution next to the full
-  /// database (lightfield::MultiDatabase) for the kCoarseLod rung.
-  std::size_t lod_resolution = 0;
+  /// Coarse tiers of the scene (view resolutions), published next to the
+  /// full database, each in its own DVS namespace. The agent's ladder
+  /// (`agent.degrade`) serves the coarsest at its kCoarseLod rung; with
+  /// `agent.lod_streaming` it picks the finest tier that fits the deadline.
+  std::vector<std::size_t> lod_resolutions;
 
-  // Continuous LOD streaming. Coarse tiers of the scene published next to
-  // the full database (each in its own DVS namespace); with lod_streaming
-  // the agent serves the finest tier that fits the interactivity deadline
-  // and refines to full resolution in the background.
-  std::vector<std::size_t> lod_resolutions;  ///< coarse tier view resolutions
-  bool lod_streaming = false;  ///< per-access LOD pick by the policy engine
-  bool lod_refine = true;      ///< background upgrade after a coarse serve
-  /// Fetch-latency estimator priors handed to the agent. Constrained-link
-  /// profiles (the PDA-class scenario) seed the WAN prior above the deadline
-  /// so the very first access already degrades instead of blowing the SLO.
-  policy::FetchLatencyEstimator::Config fetch_latency;
-
-  int hot_report_threshold = 0;  ///< sheds per view set before reporting hot
-  /// Run the server-side generator/augmenter behind the DVS.
+  /// Run the server-side generator/augmenter behind the DVS. Its deadline is
+  /// the agent's (`agent.deadline`).
   bool server_agent = false;
   streaming::AdmissionConfig server_admission;  ///< generation-tier admission
   int augment_threshold = 0;      ///< hot reports before fanning replicas out
   SimDuration augment_cooldown = 60 * kSecond;  ///< per-view-set augment hysteresis
 };
 
+/// One client's view of a run (run_experiment drives exactly one). Agent
+/// and layer counters live in `obs->metrics`; read them with counter_total.
 struct ExperimentResult {
   std::vector<streaming::AccessRecord> accesses;
   AccessSummary summary;
-  streaming::ClientAgent::Stats agent_stats;
-  std::size_t staged_at_end = 0;       ///< view sets prestaged when the run ended
   bool staging_complete = false;
   SimTime script_duration = 0;         ///< virtual time from first to last access
   double db_compressed_bytes = 0;      ///< published database size
   double db_uncompressed_bytes = 0;
-  double compression_ratio = 0;
   std::size_t failed_accesses = 0;     ///< view requests that never delivered
-  RobustnessSummary robustness;        ///< self-healing counters for the run
   fault::FaultStats fault_stats;       ///< what the injector actually did
   /// The run's private observability context: every component reported into
   /// `obs->metrics`, and `obs->trace` (enabled for experiments) holds the
@@ -189,57 +151,7 @@ struct ExperimentResult {
 
 /// Builds the full system for one case, publishes the database, replays the
 /// orchestrated cursor script (each movement waits for the view it needs,
-/// then dwells), and returns the access trace.
+/// then dwells), and returns the access trace. A one-client run_scenario.
 ExperimentResult run_experiment(const ExperimentConfig& config);
-
-// --- Multi-client scaling -----------------------------------------------------
-//
-// N concurrent clients on the same LAN share one client agent — and with it
-// the view-set cache, the obs registry, the LAN prestage depots and the
-// depot/WAN capacity. Each client replays its own cursor script; requests
-// interleave in virtual time, so the driver exercises exactly the contention
-// the scalability benches measure.
-
-struct MultiClientConfig {
-  ExperimentConfig base;              ///< topology, case, faults, client knobs
-  int clients = 8;
-  std::size_t accesses_per_client = 25;
-  /// Per-client cursor-script seed base (client i uses client_seed + i).
-  std::uint64_t client_seed = 100;
-  /// Stagger between client starts so the scripts interleave rather than
-  /// moving in lockstep.
-  SimDuration start_stagger = 250 * kMillisecond;
-};
-
-struct MultiClientResult {
-  struct PerClient {
-    std::vector<streaming::AccessRecord> accesses;
-    AccessSummary summary;
-    std::size_t failed_accesses = 0;
-    /// From this client's own obs histogram ("component=client,inst=i").
-    double p50_total_s = 0.0;
-    double p99_total_s = 0.0;
-  };
-  std::vector<PerClient> clients;
-  streaming::ClientAgent::Stats agent_stats;
-  SimTime script_duration = 0;         ///< first start to last completion
-  std::size_t failed_accesses = 0;     ///< summed over clients
-  std::size_t min_client_delivered = 0;  ///< worst-off client's deliveries
-  bool staging_complete = false;
-  fault::FaultStats fault_stats;
-
-  // Simulator-core cost counters (deterministic; see ScenarioResult).
-  std::uint64_t sim_events = 0;
-  std::uint64_t sim_scheduled = 0;
-  std::uint64_t net_reallocs = 0;
-  std::uint64_t net_realloc_flows_touched = 0;
-  double wall_s = 0.0;  ///< host wall-clock of the run — NOT deterministic
-
-  std::shared_ptr<obs::Context> obs;
-};
-
-/// Builds one system with `clients` client machines, publishes the union of
-/// the per-client scripts' view sets, and drives every script to completion.
-MultiClientResult run_multi_client(const MultiClientConfig& config);
 
 }  // namespace lon::session

@@ -111,75 +111,4 @@ void print_summary(std::ostream& os, const std::string& label, const AccessSumma
      << "  mean_decompress=" << s.mean_decompress_s << "s\n";
 }
 
-void print_robustness(std::ostream& os, const std::string& label,
-                      const RobustnessSummary& s) {
-  os << "== " << label << " (robustness) ==\n"
-     << "  fabric: timeouts=" << s.timeouts << " lost=" << s.requests_lost
-     << " dropped=" << s.requests_dropped << " flows_killed=" << s.flows_killed << '\n'
-     << "  lors: retries=" << s.retries << " failovers=" << s.failovers
-     << " corruption_detected=" << s.corruption_detected << '\n'
-     << "  repair: runs=" << s.repairs_run << " replicas_lost=" << s.replicas_lost
-     << " replicas_repaired=" << s.replicas_repaired << '\n'
-     << "  agent: refetches=" << s.refetches << " invalidations=" << s.invalidations
-     << " restaged=" << s.restaged << " lease_refreshes=" << s.lease_refreshes << '\n'
-     << "  overload: shed=" << s.demand_shed << " (queue=" << s.shed_queue_full
-     << ", tokens=" << s.shed_no_tokens << ", deadline=" << s.shed_deadline
-     << ") generation_shed=" << s.generation_shed
-     << " shed_retries=" << s.shed_retries << '\n'
-     << "  degrade: down=" << s.downgrades << " up=" << s.upgrades
-     << " lan_only=" << s.degrade_lan_only << " lod=" << s.degrade_lod
-     << " demand_only=" << s.degrade_demand_only << '\n'
-     << "  lod: coarse_serves=" << s.lod_coarse_serves
-     << " refinements=" << s.lod_refinements << " refined=" << s.lod_refined << '\n'
-     << "  augment: hot_reports=" << s.hot_reports << " augments=" << s.augments
-     << '\n'
-     << "  site: hits=" << s.site_hits << " adopted=" << s.site_adopted
-     << " coalesced=" << s.restage_coalesced
-     << " leaders=" << s.site_restage_leaders << " keys=" << s.site_restage_keys
-     << " expirations=" << s.site_expirations
-     << " stage_wan_bytes=" << s.stage_wan_bytes << '\n';
-}
-
-RobustnessSummary collect_robustness(const obs::Registry& registry) {
-  RobustnessSummary s;
-  s.timeouts = registry.counter_total("ibp.timeouts");
-  s.requests_lost = registry.counter_total("ibp.requests_lost");
-  s.requests_dropped = registry.counter_total("ibp.requests_dropped");
-  s.flows_killed = registry.counter_total("ibp.flows_killed_offline");
-  s.retries = registry.counter_total("lors.retries");
-  s.failovers = registry.counter_total("lors.failovers");
-  s.corruption_detected = registry.counter_total("lors.corruption_detected");
-  s.repairs_run = registry.counter_total("lors.repairs_run");
-  s.replicas_repaired = registry.counter_total("lors.replicas_repaired");
-  s.replicas_lost = registry.counter_total("lors.replicas_lost");
-  s.refetches = registry.counter_total("agent.refetches");
-  s.invalidations = registry.counter_total("agent.invalidations");
-  s.restaged = registry.counter_total("agent.restaged");
-  s.lease_refreshes = registry.counter_total("agent.lease_refreshes");
-  s.demand_shed = registry.counter_total("agent.demand_shed");
-  s.shed_queue_full = registry.counter_total("agent.shed_queue_full");
-  s.shed_no_tokens = registry.counter_total("agent.shed_no_tokens");
-  s.shed_deadline = registry.counter_total("agent.shed_deadline");
-  s.generation_shed = registry.counter_total("server.generation_shed");
-  s.shed_retries = registry.counter_total("session.shed_retries");
-  s.downgrades = registry.counter_total("agent.downgrades");
-  s.upgrades = registry.counter_total("agent.upgrades");
-  s.degrade_lan_only = registry.counter_total("agent.degrade_lan_only");
-  s.degrade_lod = registry.counter_total("agent.degrade_lod");
-  s.degrade_demand_only = registry.counter_total("agent.degrade_demand_only");
-  s.hot_reports = registry.counter_total("agent.hot_reports");
-  s.augments = registry.counter_total("server.augments");
-  s.lod_coarse_serves = registry.counter_total("agent.lod_coarse_serves");
-  s.lod_refinements = registry.counter_total("agent.lod_refinements");
-  s.lod_refined = registry.counter_total("agent.lod_refined");
-  s.restage_coalesced = registry.counter_total("agent.restage_coalesced");
-  s.site_hits = registry.counter_total("agent.site_hits");
-  s.site_adopted = registry.counter_total("agent.site_adopted");
-  s.stage_wan_bytes = registry.counter_total("agent.stage_wan_bytes");
-  s.site_expirations = registry.counter_total("site.expirations");
-  s.site_restage_leaders = registry.counter_total("site.restage_leaders");
-  s.site_restage_keys = registry.counter_total("site.restage_keys");
-  return s;
-}
-
 }  // namespace lon::session

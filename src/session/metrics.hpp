@@ -1,12 +1,11 @@
 // Access-trace analysis: the quantities reported in the paper's section 4.3.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <iosfwd>
 #include <string>
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "streaming/types.hpp"
 
 namespace lon::session {
@@ -50,62 +49,5 @@ void print_comm_series(std::ostream& os, const std::string& label,
 
 /// One-paragraph summary block (used by the benches).
 void print_summary(std::ostream& os, const std::string& label, const AccessSummary& s);
-
-/// Robustness counters gathered from the self-healing layers after a run
-/// under fault injection: how often delivery had to fight for its bytes.
-struct RobustnessSummary {
-  std::uint64_t timeouts = 0;             ///< fabric deadlines that fired
-  std::uint64_t requests_lost = 0;        ///< requests eaten by partitions
-  std::uint64_t requests_dropped = 0;     ///< requests eaten by fault injection
-  std::uint64_t flows_killed = 0;         ///< flows cancelled by depot crashes
-  std::uint64_t retries = 0;              ///< extra LoRS download rounds
-  std::uint64_t failovers = 0;            ///< replica failovers
-  std::uint64_t corruption_detected = 0;  ///< checksum mismatches caught
-  std::uint64_t repairs_run = 0;          ///< repair_async invocations
-  std::uint64_t replicas_repaired = 0;    ///< replicas re-created
-  std::uint64_t replicas_lost = 0;        ///< dead replicas discovered
-  std::uint64_t refetches = 0;            ///< agent-level re-resolutions
-  std::uint64_t invalidations = 0;        ///< exNodes evicted as stale
-  std::uint64_t restaged = 0;             ///< view sets staged again
-  std::uint64_t lease_refreshes = 0;      ///< staged leases renewed
-
-  // Overload protection (PR 6): explicit sheds, ladder moves, augmentation.
-  std::uint64_t demand_shed = 0;          ///< demand requests refused at the agent
-  std::uint64_t shed_queue_full = 0;      ///< ... demand queue at capacity
-  std::uint64_t shed_no_tokens = 0;       ///< ... fair-share bucket empty
-  std::uint64_t shed_deadline = 0;        ///< ... predicted deadline miss
-  std::uint64_t generation_shed = 0;      ///< generation requests the server shed
-  std::uint64_t shed_retries = 0;         ///< client retries after a shed
-  std::uint64_t downgrades = 0;           ///< degradation-ladder steps down
-  std::uint64_t upgrades = 0;             ///< ... and recoveries back up
-  std::uint64_t degrade_lan_only = 0;     ///< WAN prefetches skipped (kLanOnly)
-  std::uint64_t degrade_lod = 0;          ///< accesses served coarse (kCoarseLod)
-  std::uint64_t degrade_demand_only = 0;  ///< prefetch rounds suppressed
-  std::uint64_t hot_reports = 0;          ///< demand-pressure reports to the DVS
-  std::uint64_t augments = 0;             ///< hot view sets fanned to more depots
-
-  // Continuous LOD streaming (PR 7): coarse serves and refinement progress.
-  std::uint64_t lod_coarse_serves = 0;    ///< demand deliveries at a coarse tier
-  std::uint64_t lod_refinements = 0;      ///< background full-res upgrades started
-  std::uint64_t lod_refined = 0;          ///< upgrades that swapped full-res bytes in
-
-  // Cooperative site cache (PR 10): cross-agent sharing and coalescing.
-  std::uint64_t restage_coalesced = 0;    ///< restages joined to another agent's flight
-  std::uint64_t site_hits = 0;            ///< demand resolves served via the site index
-  std::uint64_t site_adopted = 0;         ///< staging targets adopted from the index
-  std::uint64_t stage_wan_bytes = 0;      ///< payload bytes staged over the WAN
-  std::uint64_t site_expirations = 0;     ///< site entries dropped on lease expiry
-  std::uint64_t site_restage_leaders = 0; ///< single-flight restages led
-  std::uint64_t site_restage_keys = 0;    ///< distinct view sets ever restaged
-};
-
-/// One-paragraph robustness block (used by the fault benches/tests).
-void print_robustness(std::ostream& os, const std::string& label,
-                      const RobustnessSummary& s);
-
-/// Assembles the robustness summary from the obs registry the run's
-/// components reported into. Sums across instances of each component, so it
-/// works for multi-agent topologies too.
-[[nodiscard]] RobustnessSummary collect_robustness(const obs::Registry& registry);
 
 }  // namespace lon::session

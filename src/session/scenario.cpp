@@ -21,7 +21,7 @@ ScenarioResult run_scenario(const Scenario& scenario) {
   std::vector<const CursorScript*> script_ptrs;
   script_ptrs.reserve(scenario.clients.size());
   for (const ScenarioClient& sc : scenario.clients) script_ptrs.push_back(&sc.script);
-  sys.publish(config, script_ptrs);
+  const PublishResult& published = sys.publish(config, script_ptrs);
 
   sys.make_agent(config);
   sys.make_server_agent(config);
@@ -43,9 +43,10 @@ ScenarioResult run_scenario(const Scenario& scenario) {
   sys.arm_faults(injector, config.faults, script_start);
   sys.start_repair(config);
 
-  // One driver per client: each replays its own script, waiting for every
-  // view then dwelling, exactly like the single-client loop. Starts follow
-  // the per-client offsets so the scripts interleave in virtual time.
+  // One driver per client: each replays its own script, waiting until every
+  // view is renderable, then dwelling — the orchestrated operator never
+  // abandons a pending view, which keeps the access count exact. Starts
+  // follow the per-client offsets so the scripts interleave in virtual time.
   struct Driver {
     std::size_t step = 0;
     std::size_t failed = 0;
@@ -116,16 +117,17 @@ ScenarioResult run_scenario(const Scenario& scenario) {
                             ? latency_sum / static_cast<double>(result.total_accesses)
                             : 0.0;
   result.p99_mean_s = p99_sum / static_cast<double>(n_clients);
-  result.agent_stats = sys.agent_stats();
+  obs::Registry& metrics = sys.obs->metrics;
+  const std::uint64_t requests = metrics.counter_total("agent.requests");
   result.shed_fraction =
-      result.agent_stats.requests > 0
-          ? static_cast<double>(result.agent_stats.demand_shed) /
-                static_cast<double>(result.agent_stats.requests)
-          : 0.0;
-  result.robustness = collect_robustness(sys.obs->metrics);
+      requests > 0 ? static_cast<double>(metrics.counter_total("agent.demand_shed")) /
+                         static_cast<double>(requests)
+                   : 0.0;
   result.fault_stats = injector.stats();
   result.duration = script_end - script_start;
   result.staging_complete = sys.staging_complete();
+  result.db_compressed_bytes = static_cast<double>(published.compressed_bytes);
+  result.db_uncompressed_bytes = static_cast<double>(published.uncompressed_bytes);
 
   // Simulator-core cost, surfaced both on the result (exact-match gating)
   // and through the obs registry (dashboards, artifact dumps).
@@ -136,7 +138,6 @@ ScenarioResult run_scenario(const Scenario& scenario) {
   result.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                                 wall_start)
                       .count();
-  obs::Registry& metrics = sys.obs->metrics;
   metrics.counter("sim.events_executed", "component=simnet").inc(result.sim_events);
   metrics.counter("sim.events_scheduled", "component=simnet").inc(result.sim_scheduled);
   metrics.counter("sim.events_cancelled", "component=simnet").inc(sim.cancelled());
@@ -145,10 +146,6 @@ ScenarioResult run_scenario(const Scenario& scenario) {
       .inc(sys.net.realloc_requests());
   metrics.counter("net.realloc_flows_touched", "component=simnet")
       .inc(result.net_realloc_flows_touched);
-  if (result.wall_s > 0.0) {
-    metrics.gauge("sim.events_per_sec", "component=simnet")
-        .set(static_cast<double>(result.sim_events) / result.wall_s);
-  }
 
   result.obs = std::move(sys.obs);
   return result;
@@ -176,6 +173,22 @@ void filler_content(ExperimentConfig& base) {
 
 }  // namespace
 
+Scenario multi_client(const ExperimentConfig& base, int clients, std::size_t accesses,
+                      std::uint64_t seed, SimDuration stagger) {
+  Scenario s;
+  s.name = "multi-client";
+  s.base = base;
+  const lightfield::SphericalLattice lattice(base.lattice);
+  for (int i = 0; i < clients; ++i) {
+    ScenarioClient sc;
+    sc.script = CursorScript::standard(lattice, base.dwell, accesses,
+                                       seed + static_cast<std::uint64_t>(i));
+    sc.start = static_cast<SimDuration>(i) * stagger;
+    s.clients.push_back(std::move(sc));
+  }
+  return s;
+}
+
 Scenario flash_crowd(int clients, bool admission) {
   Scenario s;
   s.name = admission ? "flash_crowd/admission" : "flash_crowd/no_admission";
@@ -194,21 +207,21 @@ Scenario flash_crowd(int clients, bool admission) {
   s.slo_deadline = kSecond;
 
   if (admission) {
-    s.base.admission.enabled = true;
-    s.base.admission.max_queue = 4;
-    s.base.admission.tokens_per_sec = 2.0;
-    s.base.admission.token_burst = 4.0;
+    s.base.agent.admission.enabled = true;
+    s.base.agent.admission.max_queue = 4;
+    s.base.agent.admission.tokens_per_sec = 2.0;
+    s.base.agent.admission.token_burst = 4.0;
     // The queue bound is the protection here: the storm keeps the WAN
     // latency estimate above the deadline for most of the run, so triage
     // would re-shed every retry until clients starve. The ladder (below)
     // handles deadline pressure by shrinking the work instead.
-    s.base.admission.deadline_triage = false;
-    s.base.interactivity_deadline = s.slo_deadline;
+    s.base.agent.admission.deadline_triage = false;
+    s.base.agent.deadline = s.slo_deadline;
     // The full ladder: LAN-only -> coarse tier -> demand-only, plus hot
     // reporting so the server agent fans busy view sets onto the LAN depots.
-    s.base.degrade = true;
-    s.base.lod_resolution = 100;
-    s.base.hot_report_threshold = 4;
+    s.base.agent.degrade = true;
+    s.base.lod_resolutions = {100};
+    s.base.agent.hot_report_threshold = 4;
     s.base.server_agent = true;
     s.base.augment_threshold = 2;
     s.base.augment_cooldown = 10 * kSecond;
@@ -252,8 +265,8 @@ Scenario teleport_under_faults(int clients) {
   s.base.dwell = 500 * kMillisecond;
   s.base.publish_replicas = 2;
   s.base.timeouts = {.control = 500 * kMillisecond, .data = 5 * kSecond};
-  s.base.retry.max_attempts = 4;
-  s.base.retry.base_backoff = 250 * kMillisecond;
+  s.base.agent.retry.max_attempts = 4;
+  s.base.agent.retry.base_backoff = 250 * kMillisecond;
   s.base.repair_interval = 5 * kSecond;
   // Depot crash + lossy window + silent corruption, all mid-browse.
   s.base.faults.crashes.push_back(
@@ -293,12 +306,12 @@ Scenario lease_expiry_wave(int clients) {
   // roughly the same instant, so they expire in a wave mid-browse instead
   // of being refreshed just-in-time by proximity-ordered staging.
   s.warm_site_cache = true;
-  s.base.staging_lease = 4 * kSecond;
-  s.base.lease_refresh = false;
-  s.base.agent_cache_bytes = 4ull << 20;
-  s.base.max_refetch = 4;
-  s.base.retry.max_attempts = 3;
-  s.base.retry.base_backoff = 100 * kMillisecond;
+  s.base.agent.staging_lease = 4 * kSecond;
+  s.base.agent.lease_refresh = false;
+  s.base.agent.cache_bytes = 4ull << 20;
+  s.base.agent.max_refetch = 4;
+  s.base.agent.retry.max_attempts = 3;
+  s.base.agent.retry.base_backoff = 100 * kMillisecond;
 
   const lightfield::SphericalLattice lattice(s.base.lattice);
   for (int i = 0; i < clients; ++i) {
@@ -327,16 +340,16 @@ Scenario pda_link(bool lod_streaming) {
   s.base.wan_jitter = 0.0;
   // No prefetch: on this link speculative transfers would only steal
   // bandwidth from the demand path; fluidity comes from the LOD ladder.
-  s.base.prefetch = false;
+  s.base.agent.prefetch = false;
   s.slo_deadline = kSecond;
-  s.base.interactivity_deadline = s.slo_deadline;
+  s.base.agent.deadline = s.slo_deadline;
   // Seed the WAN latency estimate above the deadline so the policy engine
   // degrades the very first access instead of blowing the SLO to learn.
-  s.base.fetch_latency.wan_prior = 3 * kSecond;
+  s.base.agent.latency.wan_prior = 3 * kSecond;
   if (lod_streaming) {
     s.base.lod_resolutions = {64, 32};
-    s.base.lod_streaming = true;
-    s.base.lod_refine = true;
+    s.base.agent.lod_streaming = true;
+    s.base.agent.lod_refine = true;
   }
   // Run the simulator dry after the last step: background refinements must
   // finish so the gate can check refined == refinements started.

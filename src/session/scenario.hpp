@@ -3,8 +3,8 @@
 // A Scenario is one named, fully-scripted run: an ExperimentConfig plus a
 // per-client cursor script and start offset. run_scenario assembles the
 // session::System, publishes the database, and drives every script to
-// completion, exactly like run_multi_client — which is now a thin wrapper
-// over it. The canned builders below compose the robustness machinery of
+// completion; it is the only driver (run_experiment is its one-client
+// wrapper). The canned builders below compose the robustness machinery of
 // the earlier PRs (faults + retries + repair, admission + degradation +
 // augmentation, staging leases, site caching) into deterministic stress
 // runs whose virtual-time metrics ci/perf_gate.py hard-fails on.
@@ -64,11 +64,11 @@ struct ScenarioResult {
   /// Starvation check: the worst-off client's delivered count.
   std::size_t min_client_delivered = 0;
 
-  streaming::ClientAgent::Stats agent_stats;
-  RobustnessSummary robustness;
   fault::FaultStats fault_stats;
   SimTime duration = 0;  ///< first client start to last completion
   bool staging_complete = false;
+  double db_compressed_bytes = 0;  ///< published (full-resolution) database size
+  double db_uncompressed_bytes = 0;
 
   // Simulator-core cost counters (deterministic; the scale gate matches
   // them exactly). Also exported through the obs registry as
@@ -79,6 +79,8 @@ struct ScenarioResult {
   std::uint64_t net_realloc_flows_touched = 0;  ///< flows re-rated, summed
   double wall_s = 0.0;  ///< host wall-clock of the run — NOT deterministic
 
+  /// Every counter of the run (agent.*, lors.*, ibp.*, sim.*, ...), summed
+  /// across instances with obs->metrics.counter_total(name).
   std::shared_ptr<obs::Context> obs;
 };
 
@@ -91,6 +93,12 @@ ScenarioResult run_scenario(const Scenario& scenario);
 // Each composes the machinery of several PRs; bench_scenarios reports them
 // and ci/perf_gate.py enforces their SLOs. Callers may tweak the returned
 // Scenario (the chaos-soak test flips on real content + decoding).
+
+/// N concurrent viewers on `base`'s topology: client i replays the standard
+/// seeded walk of `accesses` steps with seed `seed + i`, starting i * `stagger`
+/// after the first, so the scripts interleave rather than move in lockstep.
+Scenario multi_client(const ExperimentConfig& base, int clients, std::size_t accesses,
+                      std::uint64_t seed, SimDuration stagger);
 
 /// Flash crowd: `clients` viewers pile onto one freshly published object
 /// over the WAN within a couple of seconds. With `admission` the agent

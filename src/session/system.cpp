@@ -121,18 +121,10 @@ PublishResult& System::publish(const ExperimentConfig& config,
 }
 
 void System::ensure_lod(const ExperimentConfig& config) {
-  if (!lod_tiers.empty()) return;
-  // Union of the streaming ladder and the legacy single-tier spelling,
-  // finest first, duplicates and non-coarse resolutions dropped.
+  if (!lod_tiers.empty() || config.lod_resolutions.empty()) return;
+  // Tiers finest first; lod_ladder rejects duplicates and non-coarse ones.
   std::vector<std::size_t> resolutions = config.lod_resolutions;
-  if (config.lod_resolution > 0) resolutions.push_back(config.lod_resolution);
   std::sort(resolutions.begin(), resolutions.end(), std::greater<std::size_t>());
-  resolutions.erase(std::unique(resolutions.begin(), resolutions.end()),
-                    resolutions.end());
-  std::erase_if(resolutions, [&](std::size_t res) {
-    return res == 0 || res >= config.lattice.view_resolution;
-  });
-  if (resolutions.empty()) return;
 
   // Same lattice geometry (identical view-set grid) at lower view
   // resolutions: every full-resolution ViewSetId addresses the matching
@@ -165,40 +157,16 @@ void System::ensure_lod(const ExperimentConfig& config) {
 }
 
 void System::make_agent(const ExperimentConfig& config) {
-  streaming::ClientAgentConfig agent_config;
-  agent_config.cache_bytes = config.agent_cache_bytes;
-  agent_config.prefetch = config.prefetch;
-  agent_config.prefetch_strategy = config.prefetch_strategy;
-  agent_config.eviction = config.eviction;
-  agent_config.prefetch_horizon = config.prefetch_horizon;
-  agent_config.prefetch_max_inflight = config.prefetch_max_inflight;
-  agent_config.prefetch_max_bytes = config.prefetch_max_bytes;
+  // The caller's agent knobs, with the fields this topology owns overwritten.
+  streaming::ClientAgentConfig agent_config = config.agent;
   agent_config.staging = (config.which == Case::kWanWithLanDepot);
   agent_config.lan_depots = lan_depots;
-  agent_config.staging_concurrency = config.staging_concurrency;
-  agent_config.staging_order = config.staging_order;
-  agent_config.pause_staging_on_miss = config.pause_staging_on_miss;
-  agent_config.wan_net.streams = config.wan_streams;
-  agent_config.retry = config.retry;
-  agent_config.max_refetch = config.max_refetch;
-  agent_config.staging_lease = config.staging_lease;
-  agent_config.lease_refresh = config.lease_refresh;
-  agent_config.lease_refresh_interval = config.lease_refresh_interval;
   agent_config.pool = config.pool;
-  agent_config.pipeline_decompress = config.pipeline_decompress;
-  agent_config.pipeline_inflight = config.pipeline_inflight;
-  agent_config.admission = config.admission;
-  agent_config.deadline = config.interactivity_deadline;
-  agent_config.degrade = config.degrade;
-  agent_config.degrade_after_misses = config.degrade_after_misses;
-  agent_config.upgrade_after_hits = config.upgrade_after_hits;
+  agent_config.lod_tiers.clear();
   for (const auto& tier : lod_tiers) {
     agent_config.lod_tiers.push_back({tier.dvs.get(), tier.resolution});
   }
-  agent_config.lod_streaming = config.lod_streaming;
-  agent_config.lod_refine = config.lod_refine;
-  agent_config.latency = config.fetch_latency;
-  agent_config.hot_report_threshold = config.hot_report_threshold;
+  agent_config.site_cache = nullptr;
   if (config.site_cache) {
     streaming::SiteCacheConfig site_config;
     site_config.capacity_bytes = config.site_cache_bytes;
@@ -236,50 +204,6 @@ bool System::staging_complete() const {
   return true;
 }
 
-streaming::ClientAgent::Stats System::agent_stats() const {
-  streaming::ClientAgent::Stats total;
-  for (const auto& a : agents) {
-    const auto& s = a->stats();
-    total.requests += s.requests;
-    total.hits += s.hits;
-    total.lan_accesses += s.lan_accesses;
-    total.wan_accesses += s.wan_accesses;
-    total.prefetches += s.prefetches;
-    total.staged += s.staged;
-    total.staging_failures += s.staging_failures;
-    total.refetches += s.refetches;
-    total.invalidations += s.invalidations;
-    total.restaged += s.restaged;
-    total.lease_refreshes += s.lease_refreshes;
-    total.pipelined += s.pipelined;
-    total.predictions += s.predictions;
-    total.prefetch_useful += s.prefetch_useful;
-    total.pipeline_aborts += s.pipeline_aborts;
-    total.pollution_evictions += s.pollution_evictions;
-    total.rejected_prefetch += s.rejected_prefetch;
-    total.demand_shed += s.demand_shed;
-    total.shed_queue_full += s.shed_queue_full;
-    total.shed_no_tokens += s.shed_no_tokens;
-    total.shed_deadline += s.shed_deadline;
-    total.downgrades += s.downgrades;
-    total.upgrades += s.upgrades;
-    total.degrade_lan_only += s.degrade_lan_only;
-    total.degrade_lod += s.degrade_lod;
-    total.degrade_demand_only += s.degrade_demand_only;
-    total.hot_reports += s.hot_reports;
-    total.lod_coarse_serves += s.lod_coarse_serves;
-    total.lod_refinements += s.lod_refinements;
-    total.lod_refined += s.lod_refined;
-    total.payload_copy_bytes += s.payload_copy_bytes;
-    total.restage_coalesced += s.restage_coalesced;
-    total.site_hits += s.site_hits;
-    total.site_adopted += s.site_adopted;
-    total.stage_wan_bytes += s.stage_wan_bytes;
-    total.demand_wan_active += s.demand_wan_active;
-  }
-  return total;
-}
-
 void System::make_server_agent(const ExperimentConfig& config) {
   if (!config.server_agent) return;
   streaming::ServerAgentConfig sa;
@@ -289,7 +213,7 @@ void System::make_server_agent(const ExperimentConfig& config) {
   sa.chunk_bytes = config.publish_chunk_bytes;
   sa.pool = config.pool;
   sa.admission = config.server_admission;
-  sa.deadline = config.interactivity_deadline;
+  sa.deadline = config.agent.deadline;
   sa.augment_threshold = config.augment_threshold;
   sa.augment_cooldown = config.augment_cooldown;
   // Fan hot view sets toward the client site: augmented replicas land on

@@ -64,7 +64,7 @@ struct System {
   std::unique_ptr<streaming::ServerAgent> server_agent;
 
   /// Coarse tiers for continuous LOD streaming and the kCoarseLod
-  /// degradation rung (config.lod_resolutions / lod_resolution): the same
+  /// degradation rung (config.lod_resolutions): the same
   /// lattice geometry published at lower view resolutions, catalogued next
   /// to the full database in a MultiDatabase manifest (the LOD ladder), each
   /// tier served through its own DVS namespace. Ordered finest first.
@@ -85,8 +85,7 @@ struct System {
 
   /// Publishes the database: real pixels for every view set any script
   /// visits, size-matched filler elsewhere (per the content policy). Also
-  /// publishes every coarse tier when config.lod_resolutions (or the legacy
-  /// config.lod_resolution) is set.
+  /// publishes every coarse tier in config.lod_resolutions.
   PublishResult& publish(const ExperimentConfig& config,
                          const std::vector<const CursorScript*>& scripts);
 
@@ -97,8 +96,6 @@ struct System {
   void start_staging();
   /// True once every agent's staging queue has drained.
   [[nodiscard]] bool staging_complete() const;
-  /// Per-agent stats summed over all co-sited agents.
-  [[nodiscard]] streaming::ClientAgent::Stats agent_stats() const;
   /// Registers the runtime generator behind the DVS (no-op unless
   /// config.server_agent).
   void make_server_agent(const ExperimentConfig& config);

@@ -87,7 +87,8 @@ ClientAgent::ClientAgent(sim::Simulator& sim, sim::Network& net, ibp::Fabric& fa
                scope_.counter("agent.restage_coalesced"),
                scope_.counter("agent.site_hits"),
                scope_.counter("agent.site_adopted"),
-               scope_.counter("agent.stage_wan_bytes")},
+               scope_.counter("agent.stage_wan_bytes"),
+               scope_.gauge("agent.demand_wan_active")},
       cache_(config_.cache_bytes),
       admission_(config_.admission),
       motion_(config_.motion),
@@ -181,17 +182,6 @@ void ClientAgent::deliver_shed(const lightfield::ViewSetId& id, AdmissionDecisio
     delivery.status = DeliveryStatus::kShed;
     cb(delivery);
   });
-}
-
-void ClientAgent::request_view_set(const lightfield::ViewSetId& id,
-                                   DeliverCallback on_done, obs::SpanId parent_span) {
-  RichDeliverCallback rich;
-  if (on_done) {
-    rich = [cb = std::move(on_done)](const Delivery& delivery) {
-      cb(*delivery.payload, delivery.cls, delivery.comm_latency);
-    };
-  }
-  request_view_set(id, std::move(rich), parent_span);
 }
 
 void ClientAgent::fetch(const lightfield::ViewSetId& id, RichDeliverCallback cb,
@@ -445,7 +435,7 @@ void ClientAgent::download(const lightfield::ViewSetId& id, const exnode::ExNode
                            AccessClass cls) {
   auto it = inflight_.find(id);
   if (it != inflight_.end()) it->second.cls = cls;
-  if (cls == AccessClass::kWan) ++demand_wan_active_;
+  if (cls == AccessClass::kWan) metrics_.demand_wan_active.set(++demand_wan_active_);
 
   lors::DownloadOptions options;
   options.net = (cls == AccessClass::kLanDepot) ? config_.lan_net : config_.wan_net;
@@ -469,7 +459,7 @@ void ClientAgent::download(const lightfield::ViewSetId& id, const exnode::ExNode
   lors_.download_async(node_, exnode, options,
                        [this, id, cls, pipeline](lors::DownloadResult result) {
                          if (cls == AccessClass::kWan) {
-                           --demand_wan_active_;
+                           metrics_.demand_wan_active.set(--demand_wan_active_);
                            staging_pump();  // resume if paused on miss
                          }
                          if (result.status != lors::LorsStatus::kOk) {
@@ -1052,44 +1042,12 @@ void ClientAgent::stage_one(const lightfield::ViewSetId& id) {
                    });
 }
 
-const ClientAgent::Stats& ClientAgent::stats() const {
-  stats_view_.requests = metrics_.requests.value();
-  stats_view_.hits = metrics_.hits.value();
-  stats_view_.lan_accesses = metrics_.lan_accesses.value();
-  stats_view_.wan_accesses = metrics_.wan_accesses.value();
-  stats_view_.prefetches = metrics_.prefetches.value();
-  stats_view_.staged = metrics_.staged.value();
-  stats_view_.staging_failures = metrics_.staging_failures.value();
-  stats_view_.refetches = metrics_.refetches.value();
-  stats_view_.invalidations = metrics_.invalidations.value();
-  stats_view_.restaged = metrics_.restaged.value();
-  stats_view_.lease_refreshes = metrics_.lease_refreshes.value();
-  stats_view_.pipelined = metrics_.pipelined.value();
-  stats_view_.predictions = metrics_.predictions.value();
-  stats_view_.prefetch_useful = metrics_.prefetch_useful.value();
-  stats_view_.pipeline_aborts = metrics_.pipeline_aborts.value();
-  stats_view_.pollution_evictions = metrics_.pollution_evictions.value();
-  stats_view_.rejected_prefetch = metrics_.rejected_prefetch.value();
-  stats_view_.demand_shed = metrics_.demand_shed.value();
-  stats_view_.shed_queue_full = metrics_.shed_queue_full.value();
-  stats_view_.shed_no_tokens = metrics_.shed_no_tokens.value();
-  stats_view_.shed_deadline = metrics_.shed_deadline.value();
-  stats_view_.downgrades = metrics_.downgrades.value();
-  stats_view_.upgrades = metrics_.upgrades.value();
-  stats_view_.degrade_lan_only = metrics_.degrade_lan_only.value();
-  stats_view_.degrade_lod = metrics_.degrade_lod.value();
-  stats_view_.degrade_demand_only = metrics_.degrade_demand_only.value();
-  stats_view_.hot_reports = metrics_.hot_reports.value();
-  stats_view_.lod_coarse_serves = metrics_.lod_coarse_serves.value();
-  stats_view_.lod_refinements = metrics_.lod_refinements.value();
-  stats_view_.lod_refined = metrics_.lod_refined.value();
-  stats_view_.payload_copy_bytes = metrics_.payload_copy_bytes.value();
-  stats_view_.restage_coalesced = metrics_.restage_coalesced.value();
-  stats_view_.site_hits = metrics_.site_hits.value();
-  stats_view_.site_adopted = metrics_.site_adopted.value();
-  stats_view_.stage_wan_bytes = metrics_.stage_wan_bytes.value();
-  stats_view_.demand_wan_active = demand_wan_active_;
-  return stats_view_;
+std::uint64_t ClientAgent::counter(const std::string& name) const {
+  const obs::Counter* c = obs_.metrics.find_counter(name, scope_.labels());
+  if (c == nullptr) {
+    throw std::invalid_argument("ClientAgent::counter: no counter named " + name);
+  }
+  return c->value();
 }
 
 }  // namespace lon::streaming

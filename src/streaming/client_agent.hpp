@@ -197,48 +197,6 @@ struct ClientAgentConfig {
 
 class ClientAgent {
  public:
-  struct Stats {
-    std::uint64_t requests = 0;        ///< demand requests from clients
-    std::uint64_t hits = 0;            ///< served from the agent cache
-    std::uint64_t lan_accesses = 0;    ///< served from a LAN depot
-    std::uint64_t wan_accesses = 0;    ///< served across the WAN
-    std::uint64_t prefetches = 0;      ///< prefetch fetches issued
-    std::uint64_t staged = 0;          ///< view sets fully prestaged
-    std::uint64_t staging_failures = 0;
-    std::uint64_t refetches = 0;       ///< failed downloads retried end-to-end
-    std::uint64_t invalidations = 0;   ///< exNodes evicted as stale
-    std::uint64_t restaged = 0;        ///< view sets queued for staging again
-    std::uint64_t lease_refreshes = 0; ///< staged replicas whose lease was renewed
-    std::uint64_t pipelined = 0;       ///< deliveries pre-decoded by the pipeline
-    std::uint64_t predictions = 0;     ///< targets proposed by the prefetch policy
-    std::uint64_t prefetch_useful = 0; ///< prefetches a demand request benefited from
-    std::uint64_t pipeline_aborts = 0; ///< abandoned download attempts drained
-    std::uint64_t pollution_evictions = 0;  ///< unused prefetches evicted
-    std::uint64_t rejected_prefetch = 0;    ///< prefetch inserts refused admission
-    std::uint64_t demand_shed = 0;       ///< demand requests answered with kShed
-    std::uint64_t shed_queue_full = 0;   ///< ... because the demand queue was full
-    std::uint64_t shed_no_tokens = 0;    ///< ... because the client's bucket was dry
-    std::uint64_t shed_deadline = 0;     ///< ... because completion was predicted late
-    std::uint64_t downgrades = 0;        ///< ladder steps down
-    std::uint64_t upgrades = 0;          ///< ladder steps back up
-    std::uint64_t degrade_lan_only = 0;  ///< WAN prefetch targets skipped (kLanOnly)
-    std::uint64_t degrade_lod = 0;       ///< accesses served coarse (kCoarseLod)
-    std::uint64_t degrade_demand_only = 0;  ///< prefetch rounds suppressed
-    std::uint64_t hot_reports = 0;       ///< demand-pressure reports sent to the DVS
-    std::uint64_t lod_coarse_serves = 0; ///< demand deliveries at a coarse tier
-    std::uint64_t lod_refinements = 0;   ///< background full-res upgrades started
-    std::uint64_t lod_refined = 0;       ///< upgrades that swapped full-res bytes in
-    /// Payload bytes physically copied on the demand path (network landing
-    /// passes plus any decode fallback staging). Warm cache hits add zero;
-    /// a cold fetch adds exactly one pass over its compressed payload.
-    std::uint64_t payload_copy_bytes = 0;
-    std::uint64_t restage_coalesced = 0; ///< restages joined to another agent's flight
-    std::uint64_t site_hits = 0;         ///< demand resolves served via the site index
-    std::uint64_t site_adopted = 0;      ///< staging targets adopted from the site index
-    std::uint64_t stage_wan_bytes = 0;   ///< payload bytes this agent staged over the WAN
-    int demand_wan_active = 0;           ///< WAN demand downloads in flight now
-  };
-
   ClientAgent(sim::Simulator& sim, sim::Network& net, ibp::Fabric& fabric,
               lors::Lors& lors, DvsServer& dvs,
               const lightfield::SphericalLattice& lattice, sim::NodeId node,
@@ -279,20 +237,14 @@ class ClientAgent {
   };
   using RichDeliverCallback = std::function<void(const Delivery&)>;
 
-  /// Legacy delivery signature (payload, class, comm latency).
-  using DeliverCallback =
-      std::function<void(const Bytes& compressed, AccessClass cls, SimDuration comm_latency)>;
-
   /// Demand request from a client (invoked at agent time — the client models
   /// its own network legs). Triggers the access path above. `parent_span`
   /// carries the client's request span across the client->agent hop so the
   /// whole lifeline nests in one trace.
   void request_view_set(const lightfield::ViewSetId& id, RichDeliverCallback on_done,
                         obs::SpanId parent_span = 0);
-  void request_view_set(const lightfield::ViewSetId& id, DeliverCallback on_done,
-                        obs::SpanId parent_span = 0);
   /// Variant carrying the requesting client's identity, which keys the
-  /// per-client fair-share token bucket. The identity-less overloads charge
+  /// per-client fair-share token bucket. The identity-less overload charges
   /// everything to one aggregate bucket (the agent's own node).
   void request_view_set(const lightfield::ViewSetId& id, sim::NodeId requester,
                         RichDeliverCallback on_done, obs::SpanId parent_span = 0);
@@ -326,8 +278,10 @@ class ClientAgent {
   [[nodiscard]] bool is_staged(const lightfield::ViewSetId& id) const {
     return staged_.contains(id);
   }
-  /// Compatibility view over the obs registry counters.
-  [[nodiscard]] const Stats& stats() const;
+  /// This agent's value of one of its registry counters ("agent.hits",
+  /// "prefetch.useful", ...). Throws std::invalid_argument on a name the
+  /// agent never registered. Run-wide totals: Registry::counter_total.
+  [[nodiscard]] std::uint64_t counter(const std::string& name) const;
   [[nodiscard]] const ViewSetCache& cache() const { return cache_; }
   /// Prefetch fetches currently in flight (for budget tests).
   [[nodiscard]] std::size_t prefetch_inflight() const { return prefetch_inflight_; }
@@ -336,9 +290,10 @@ class ClientAgent {
   [[nodiscard]] DegradeLevel degrade_level() const { return level_; }
   /// Demand fetches currently in service (the admission queue depth).
   [[nodiscard]] int demand_inflight() const { return demand_inflight_; }
-  /// WAN demand downloads in flight right now. Balance invariant: zero
-  /// whenever the agent is idle — every increment in download() must be
-  /// matched across the shed/retry/coarse completion paths.
+  /// WAN demand downloads in flight right now (also the registry gauge
+  /// agent.demand_wan_active). Balance invariant: zero whenever the agent is
+  /// idle — every increment in download() must be matched across the
+  /// shed/retry/coarse completion paths.
   [[nodiscard]] int demand_wan_active() const { return demand_wan_active_; }
 
  private:
@@ -362,7 +317,7 @@ class ClientAgent {
     bool shed_upstream = false;    ///< the generation tier shed this request
     /// The flight resolved through a staged/site copy. On a failed retry the
     /// agent drops that copy exactly once (see the drop_staged plumbing) —
-    /// this is what keeps Stats::restaged from double-counting one incident.
+    /// this is what keeps agent.restaged from double-counting one incident.
     bool from_staged = false;
   };
 
@@ -399,11 +354,15 @@ class ClientAgent {
     obs::Counter& lod_coarse_serves;     ///< agent.lod_coarse_serves
     obs::Counter& lod_refinements;       ///< agent.lod_refinements
     obs::Counter& lod_refined;           ///< agent.lod_refined
-    obs::Counter& payload_copy_bytes;    ///< agent.payload_copy_bytes
+    /// agent.payload_copy_bytes: payload bytes physically copied on the
+    /// demand path. A warm cache hit adds zero; a cold fetch adds exactly one
+    /// pass over its compressed payload.
+    obs::Counter& payload_copy_bytes;
     obs::Counter& restage_coalesced;     ///< agent.restage_coalesced
     obs::Counter& site_hits;             ///< agent.site_hits
     obs::Counter& site_adopted;          ///< agent.site_adopted
     obs::Counter& stage_wan_bytes;       ///< agent.stage_wan_bytes
+    obs::Gauge& demand_wan_active;       ///< agent.demand_wan_active
   };
 
   /// Starts (or joins) a fetch of `id`; cb may be null for prefetch.
@@ -546,8 +505,6 @@ class ClientAgent {
   double payload_bytes_ewma_ = 0.0;  ///< prefetch budget charge estimate
   std::uint64_t synced_pollution_ = 0;  ///< cache counters already mirrored
   std::uint64_t synced_rejected_ = 0;
-
-  mutable Stats stats_view_;
 };
 
 }  // namespace lon::streaming

@@ -28,6 +28,7 @@
 #include "lors/lors.hpp"
 #include "obs/metrics.hpp"
 #include "session/experiment.hpp"
+#include "session/scenario.hpp"
 #include "streaming/cache.hpp"
 #include "streaming/pipeline.hpp"
 #include "util/thread_pool.hpp"
@@ -413,66 +414,65 @@ TEST(BatchedGeneration, RendererRowParallelismDoesNotChangePixels) {
 
 // --- multi-client driver -----------------------------------------------------------
 
-session::MultiClientConfig small_multi_client() {
-  session::MultiClientConfig mc;
-  mc.clients = 3;
-  mc.accesses_per_client = 6;
-  mc.client_seed = 100;
-  mc.base.lattice = tiny_lattice(24);
-  mc.base.which = session::Case::kWanWithLanDepot;
-  mc.base.all_filler = true;
-  mc.base.client.decode = false;
-  mc.base.client.timing = streaming::ClientConfig::Timing::kModeled;
-  mc.base.dwell = 500 * kMillisecond;
-  return mc;
+constexpr std::size_t kAccessesPerClient = 6;
+
+session::Scenario small_multi_client() {
+  session::ExperimentConfig base;
+  base.lattice = tiny_lattice(24);
+  base.which = session::Case::kWanWithLanDepot;
+  base.all_filler = true;
+  base.client.decode = false;
+  base.client.timing = streaming::ClientConfig::Timing::kModeled;
+  base.dwell = 500 * kMillisecond;
+  return session::multi_client(base, /*clients=*/3, kAccessesPerClient, /*seed=*/100,
+                               250 * kMillisecond);
 }
 
 TEST(MultiClient, ConvergesUnderFaultPlanWithoutDeadlock) {
-  session::MultiClientConfig mc = small_multi_client();
+  session::Scenario mc = small_multi_client();
   mc.base.pool = &ThreadPool::shared();
   // A WAN depot and a LAN staging depot both crash mid-run and come back;
   // replicas + retries let every access heal.
   mc.base.publish_replicas = 2;
   mc.base.timeouts = {.control = 500 * kMillisecond, .data = 5 * kSecond};
-  mc.base.retry.max_attempts = 4;
-  mc.base.retry.base_backoff = 250 * kMillisecond;
+  mc.base.agent.retry.max_attempts = 4;
+  mc.base.agent.retry.base_backoff = 250 * kMillisecond;
   mc.base.faults.crashes.push_back(
       {.depot = "ca-0", .at = 2 * kSecond, .restart_after = 6 * kSecond});
   mc.base.faults.crashes.push_back(
       {.depot = "lan-1", .at = 4 * kSecond, .restart_after = 4 * kSecond});
 
-  const session::MultiClientResult result = session::run_multi_client(mc);
+  const session::ScenarioResult result = session::run_scenario(mc);
 
   ASSERT_EQ(result.clients.size(), 3u);
   EXPECT_EQ(result.failed_accesses, 0u);
-  EXPECT_GT(result.script_duration, 0);
+  EXPECT_GT(result.duration, 0);
   EXPECT_GE(result.fault_stats.crashes, 2u);
   for (const auto& client : result.clients) {
     // Scripts can emit a couple more records than `accesses_per_client`
     // (boundary-crossing steps re-request); they never emit fewer than the
     // script's transitions.
-    EXPECT_GE(client.accesses.size(), mc.accesses_per_client - 1);
+    EXPECT_GE(client.accesses.size(), kAccessesPerClient - 1);
     EXPECT_EQ(client.failed_accesses, 0u);
     EXPECT_GT(client.p50_total_s, 0.0);
     EXPECT_GE(client.p99_total_s, client.p50_total_s);
   }
-  EXPECT_GT(result.agent_stats.requests, 0u);
+  EXPECT_GT(result.obs->metrics.counter_total("agent.requests"), 0u);
 }
 
 TEST(MultiClient, VirtualTimelineIndependentOfWorkerPool) {
   // The whole point of the ownership rule in DESIGN.md section 10: attaching
   // a pool moves CPU work, not virtual time. Two runs, with and without a
   // pool, must produce identical traces.
-  const session::MultiClientResult without_pool =
-      session::run_multi_client(small_multi_client());
+  const session::ScenarioResult without_pool = session::run_scenario(small_multi_client());
 
-  session::MultiClientConfig mc = small_multi_client();
+  session::Scenario mc = small_multi_client();
   ThreadPool pool(4);
   mc.base.pool = &pool;
-  const session::MultiClientResult with_pool = session::run_multi_client(mc);
+  const session::ScenarioResult with_pool = session::run_scenario(mc);
 
   ASSERT_EQ(with_pool.clients.size(), without_pool.clients.size());
-  EXPECT_EQ(with_pool.script_duration, without_pool.script_duration);
+  EXPECT_EQ(with_pool.duration, without_pool.duration);
   for (std::size_t c = 0; c < with_pool.clients.size(); ++c) {
     const auto& a = with_pool.clients[c].accesses;
     const auto& b = without_pool.clients[c].accesses;
@@ -504,8 +504,8 @@ TEST(PipelinedExperiment, OverlapOnlyShrinksDecompressCharges) {
   session::ExperimentConfig pipelined_cfg = cfg;
   ThreadPool pool(4);
   pipelined_cfg.pool = &pool;
-  pipelined_cfg.pipeline_decompress = true;
-  pipelined_cfg.pipeline_inflight = 4;
+  pipelined_cfg.agent.pipeline_decompress = true;
+  pipelined_cfg.agent.pipeline_inflight = 4;
   const session::ExperimentResult pipelined = session::run_experiment(pipelined_cfg);
 
   EXPECT_EQ(serial.failed_accesses, 0u);

@@ -633,10 +633,9 @@ TEST_F(ChaosTest, BrowsingSurvivesCrashesLeaseExpiryAndCorruption) {
 
     bool done = false;
     Bytes got;
-    agent.request_view_set(id, [&](const Bytes& data, streaming::AccessClass,
-                                   SimDuration) {
+    agent.request_view_set(id, [&](const streaming::ClientAgent::Delivery& d) {
       done = true;
-      got = data;
+      got = *d.payload;
     });
     const SimTime limit = sim_.now() + 60 * kSecond;
     while (!done && sim_.now() < limit && sim_.step()) {
@@ -660,8 +659,8 @@ TEST_F(ChaosTest, BrowsingSurvivesCrashesLeaseExpiryAndCorruption) {
     lan_expired += fabric_.find_depot(name)->stats().leases_expired;
   }
   EXPECT_GE(lan_expired, 1u) << "no lease-expiry wave was exercised";
-  EXPECT_GE(agent.stats().invalidations, 1u);
-  EXPECT_GE(agent.stats().lease_refreshes + agent.stats().restaged, 1u);
+  EXPECT_GE(agent.counter("agent.invalidations"), 1u);
+  EXPECT_GE(agent.counter("agent.lease_refreshes") + agent.counter("agent.restaged"), 1u);
 
   // Aftermath: ca-2 dies for good; repair rebuilds full replication for a
   // published view set without it.

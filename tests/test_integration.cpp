@@ -114,8 +114,8 @@ TEST_F(WorldTest, DownloadSurvivesDepotFailureWithReplicas) {
   // One of the two WAN depots dies before the first access.
   fabric_.set_offline("ca-0", true);
   Bytes received;
-  agent->request_view_set({1, 4}, [&](const Bytes& data, AccessClass, SimDuration) {
-    received = data;
+  agent->request_view_set({1, 4}, [&](const streaming::ClientAgent::Delivery& d) {
+    received = *d.payload;
   });
   sim_.run();
   ASSERT_FALSE(received.empty());
@@ -129,8 +129,8 @@ TEST_F(WorldTest, DownloadFailsCleanlyWithoutReplicas) {
   fabric_.set_offline("ca-0", true);
   fabric_.set_offline("ca-1", true);
   std::optional<Bytes> received;
-  agent->request_view_set({1, 4}, [&](const Bytes& data, AccessClass, SimDuration) {
-    received = data;
+  agent->request_view_set({1, 4}, [&](const streaming::ClientAgent::Delivery& d) {
+    received = *d.payload;
   });
   sim_.run();
   ASSERT_TRUE(received.has_value());
@@ -141,8 +141,8 @@ TEST_F(WorldTest, DownloadFailsCleanlyWithoutReplicas) {
   fabric_.set_offline("ca-0", false);
   fabric_.set_offline("ca-1", false);
   received.reset();
-  agent->request_view_set({1, 4}, [&](const Bytes& data, AccessClass, SimDuration) {
-    received = data;
+  agent->request_view_set({1, 4}, [&](const streaming::ClientAgent::Delivery& d) {
+    received = *d.payload;
   });
   sim_.run();
   ASSERT_TRUE(received.has_value());
@@ -156,9 +156,9 @@ TEST_F(WorldTest, StagingSurvivesLanDepotFailure) {
   agent->start_staging();
   sim_.run();
   // Every view set routed to the dead depot failed; the rest staged fine.
-  EXPECT_GT(agent->stats().staged, 0u);
-  EXPECT_GT(agent->stats().staging_failures, 0u);
-  EXPECT_EQ(agent->stats().staged + agent->stats().staging_failures,
+  EXPECT_GT(agent->counter("agent.staged"), 0u);
+  EXPECT_GT(agent->counter("agent.staging_failures"), 0u);
+  EXPECT_EQ(agent->counter("agent.staged") + agent->counter("agent.staging_failures"),
             source_.lattice().view_set_count());
 }
 
@@ -189,9 +189,9 @@ TEST_F(WorldTest, ExpiredStagedLeasesFailOverToWan) {
 
   Bytes received;
   std::optional<AccessClass> cls;
-  agent->request_view_set({2, 3}, [&](const Bytes& data, AccessClass c, SimDuration) {
-    received = data;
-    cls = c;
+  agent->request_view_set({2, 3}, [&](const streaming::ClientAgent::Delivery& d) {
+    received = *d.payload;
+    cls = d.cls;
   });
   sim_.run();
   ASSERT_FALSE(received.empty());
@@ -259,8 +259,8 @@ TEST_F(WorldTest, ConcurrentClientsShareInflightFetch) {
   EXPECT_TRUE(a_ready);
   EXPECT_TRUE(b_ready);
   // Exactly one WAN fetch happened; the second demand joined it.
-  EXPECT_EQ(agent->stats().wan_accesses + agent->stats().hits, 2u);
-  EXPECT_LE(agent->stats().wan_accesses, 2u);
+  EXPECT_EQ(agent->counter("agent.wan_accesses") + agent->counter("agent.hits"), 2u);
+  EXPECT_LE(agent->counter("agent.wan_accesses"), 2u);
   EXPECT_EQ(fabric_.find_depot("ca-0")->stats().bytes_loaded +
                 fabric_.find_depot("ca-1")->stats().bytes_loaded,
             agent->cache().bytes_used());
@@ -286,8 +286,8 @@ TEST_F(WorldTest, SoftStagedDataRevokedUnderPressureStaysReachable) {
   // the WAN replicas recorded in the same exNode.
   for (const auto& id : source_.lattice().all_view_sets()) {
     Bytes received;
-    agent->request_view_set(id, [&](const Bytes& data, AccessClass, SimDuration) {
-      received = data;
+    agent->request_view_set(id, [&](const streaming::ClientAgent::Delivery& d) {
+      received = *d.payload;
     });
     sim_.run();
     ASSERT_FALSE(received.empty()) << "lost view set " << id.key();

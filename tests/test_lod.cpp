@@ -21,6 +21,11 @@ using lightfield::ViewSetId;
 using streaming::AccessClass;
 using streaming::ViewSetCache;
 
+/// Run-wide total of one registry counter, summed over every instance.
+std::uint64_t total(const std::shared_ptr<obs::Context>& obs, const std::string& name) {
+  return obs->metrics.counter_total(name);
+}
+
 // --- (id, lod) cache keying ---------------------------------------------------
 
 TEST(LodCache, CoarseBytesNeverServeTheFullResolutionKey) {
@@ -136,9 +141,9 @@ TEST(LodStreaming, PdaLinkHoldsEveryAccessInsideTheDeadline) {
   // resolution before the run drains.
   EXPECT_EQ(misses, 0u);
   EXPECT_GT(coarse, 0u);
-  EXPECT_GT(r.robustness.lod_coarse_serves, 0u);
-  EXPECT_GT(r.robustness.lod_refined, 0u);
-  EXPECT_EQ(r.robustness.lod_refined, r.robustness.lod_refinements);
+  EXPECT_GT(total(r.obs, "agent.lod_coarse_serves"), 0u);
+  EXPECT_GT(total(r.obs, "agent.lod_refined"), 0u);
+  EXPECT_EQ(total(r.obs, "agent.lod_refined"), total(r.obs, "agent.lod_refinements"));
 }
 
 TEST(LodStreaming, FullResolutionControlMissesTheDeadline) {
@@ -154,8 +159,8 @@ TEST(LodStreaming, FullResolutionControlMissesTheDeadline) {
     }
   }
   EXPECT_GT(misses, 0u);
-  EXPECT_EQ(r.robustness.lod_coarse_serves, 0u);
-  EXPECT_EQ(r.robustness.lod_refinements, 0u);
+  EXPECT_EQ(total(r.obs, "agent.lod_coarse_serves"), 0u);
+  EXPECT_EQ(total(r.obs, "agent.lod_refinements"), 0u);
 }
 
 TEST(LodStreaming, RevisitAfterRefinementServesFullResolutionBytes) {
@@ -192,8 +197,9 @@ TEST(LodStreaming, PdaRunsAreDeterministic) {
   const session::ScenarioResult b = session::run_scenario(session::pda_link(true));
   EXPECT_EQ(a.mean_total_s, b.mean_total_s);
   EXPECT_EQ(a.p99_worst_s, b.p99_worst_s);
-  EXPECT_EQ(a.robustness.lod_coarse_serves, b.robustness.lod_coarse_serves);
-  EXPECT_EQ(a.robustness.lod_refined, b.robustness.lod_refined);
+  EXPECT_EQ(total(a.obs, "agent.lod_coarse_serves"),
+            total(b.obs, "agent.lod_coarse_serves"));
+  EXPECT_EQ(total(a.obs, "agent.lod_refined"), total(b.obs, "agent.lod_refined"));
   EXPECT_EQ(a.duration, b.duration);
 }
 
@@ -213,17 +219,17 @@ TEST(LodLadder, LadderCoarseServesAreScopedAndLabelled) {
   cfg.client.timing = streaming::ClientConfig::Timing::kModeled;
   cfg.dwell = 200 * kMillisecond;
   cfg.accesses = 10;
-  cfg.degrade = true;
-  cfg.degrade_after_misses = 1;
-  cfg.upgrade_after_hits = 100;
-  cfg.interactivity_deadline = 1;
-  cfg.lod_resolution = 32;
+  cfg.agent.degrade = true;
+  cfg.agent.degrade_after_misses = 1;
+  cfg.agent.upgrade_after_hits = 100;
+  cfg.agent.deadline = 1;
+  cfg.lod_resolutions = {32};
 
   const session::ExperimentResult result = session::run_experiment(cfg);
   EXPECT_EQ(result.failed_accesses, 0u);
-  EXPECT_GT(result.robustness.degrade_lod, 0u);
+  EXPECT_GT(total(result.obs, "agent.degrade_lod"), 0u);
   // Ladder mode does not refine in the background (lod_streaming off).
-  EXPECT_EQ(result.robustness.lod_refinements, 0u);
+  EXPECT_EQ(total(result.obs, "agent.lod_refinements"), 0u);
   std::uint64_t max_coarse_bytes = 0;
   auto min_full_bytes = std::numeric_limits<std::uint64_t>::max();
   std::size_t coarse = 0;
@@ -245,14 +251,16 @@ TEST(LodStreaming, DemandWanCounterBalancesAfterEveryScenario) {
   // The WAN-concurrency gauge must return to zero however a download ends:
   // clean finish, coarse redirect, retry after a failure, or shed. A leak
   // here starves (or floods) the admission path for the rest of the session.
-  const session::ScenarioResult lod = session::run_scenario(session::pda_link(true));
-  EXPECT_EQ(lod.agent_stats.demand_wan_active, 0);
-  const session::ScenarioResult crowd =
-      session::run_scenario(session::flash_crowd(8, /*admission=*/true));
-  EXPECT_EQ(crowd.agent_stats.demand_wan_active, 0);
-  const session::ScenarioResult chaos =
-      session::run_scenario(session::teleport_under_faults(2));
-  EXPECT_EQ(chaos.agent_stats.demand_wan_active, 0);
+  // Each of these scenarios runs a single agent: registry instance 0.
+  const auto wan_active = [](const session::ScenarioResult& r) {
+    const obs::Gauge* g =
+        r.obs->metrics.find_gauge("agent.demand_wan_active", "component=agent,inst=0");
+    return g != nullptr ? g->value() : -1.0;
+  };
+  EXPECT_EQ(wan_active(session::run_scenario(session::pda_link(true))), 0.0);
+  EXPECT_EQ(wan_active(session::run_scenario(session::flash_crowd(8, /*admission=*/true))),
+            0.0);
+  EXPECT_EQ(wan_active(session::run_scenario(session::teleport_under_faults(2))), 0.0);
 }
 
 }  // namespace

@@ -402,7 +402,7 @@ TEST_F(BudgetTest, InflightCapHoldsUnderSaturatedWan) {
   // The cap actually bit: the slow trunk kept both slots occupied, and the
   // scheduler never opened a third.
   EXPECT_EQ(peak, 2u);
-  EXPECT_GT(agent->stats().prefetches, 0u);
+  EXPECT_GT(agent->counter("agent.prefetches"), 0u);
 }
 
 TEST_F(BudgetTest, ByteBudgetStopsPrefetchOnceChargeIsKnown) {
@@ -415,19 +415,18 @@ TEST_F(BudgetTest, ByteBudgetStopsPrefetchOnceChargeIsKnown) {
   // One demand fetch seeds the payload-size estimate (no cursor -> no
   // prefetch is triggered by it).
   bool done = false;
-  agent->request_view_set({2, 0}, [&](const Bytes& data, streaming::AccessClass,
-                                      SimDuration) {
+  agent->request_view_set({2, 0}, [&](const streaming::ClientAgent::Delivery& d) {
     done = true;
-    EXPECT_FALSE(data.empty());
+    EXPECT_FALSE(d.payload->empty());
   });
   sim_.run();
   ASSERT_TRUE(done);
-  ASSERT_EQ(agent->stats().prefetches, 0u);
+  ASSERT_EQ(agent->counter("agent.prefetches"), 0u);
 
   pan(*agent, [] {});
   // Every round proposed targets; the byte budget refused them all.
-  EXPECT_GT(agent->stats().predictions, 0u);
-  EXPECT_EQ(agent->stats().prefetches, 0u);
+  EXPECT_GT(agent->counter("policy.predictions"), 0u);
+  EXPECT_EQ(agent->counter("agent.prefetches"), 0u);
 }
 
 // --- end-to-end: the perf-gate guarantees ------------------------------------
@@ -443,18 +442,18 @@ session::ExperimentConfig policy_experiment(PrefetchStrategy strategy,
   cfg.client.display_resolution = 200;
   cfg.client.timing = streaming::ClientConfig::Timing::kModeled;
   cfg.dwell = 35 * kMillisecond;
-  cfg.prefetch_strategy = strategy;
-  cfg.eviction = eviction;
-  cfg.agent_cache_bytes = cache_bytes;
-  cfg.prefetch_max_inflight = 4;
+  cfg.agent.prefetch_strategy = strategy;
+  cfg.agent.eviction = eviction;
+  cfg.agent.cache_bytes = cache_bytes;
+  cfg.agent.prefetch_max_inflight = 4;
   return cfg;
 }
 
 double hit_rate(const session::ExperimentResult& r) {
-  return r.agent_stats.requests > 0
-             ? static_cast<double>(r.agent_stats.hits) /
-                   static_cast<double>(r.agent_stats.requests)
-             : 0.0;
+  const std::uint64_t requests = r.obs->metrics.counter_total("agent.requests");
+  return requests > 0 ? static_cast<double>(r.obs->metrics.counter_total("agent.hits")) /
+                            static_cast<double>(requests)
+                      : 0.0;
 }
 
 double p99_s(const session::ExperimentResult& r) {
@@ -503,9 +502,9 @@ TEST(PolicyEndToEnd, HybridEvictionPreservesDemandWorkingSetUnderPollution) {
   const auto& hybrid = results[1];
   EXPECT_LT(p99_s(hybrid), p99_s(lru))
       << "hybrid did not shield the demand tail from prefetch pollution";
-  EXPECT_LT(hybrid.agent_stats.pollution_evictions,
-            lru.agent_stats.pollution_evictions);
-  EXPECT_GT(hybrid.agent_stats.rejected_prefetch, 0u);
+  EXPECT_LT(hybrid.obs->metrics.counter_total("cache.pollution_evictions"),
+            lru.obs->metrics.counter_total("cache.pollution_evictions"));
+  EXPECT_GT(hybrid.obs->metrics.counter_total("cache.rejected_prefetch"), 0u);
 }
 
 }  // namespace

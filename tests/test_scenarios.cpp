@@ -26,6 +26,11 @@ using streaming::AdmissionDecision;
 using streaming::DegradeLevel;
 using streaming::DeliveryStatus;
 
+/// Run-wide total of one registry counter, summed over every instance.
+std::uint64_t total(const std::shared_ptr<obs::Context>& obs, const std::string& name) {
+  return obs->metrics.counter_total(name);
+}
+
 // --- admission controller -----------------------------------------------------
 
 TEST(Admission, DisabledAdmitsEverything) {
@@ -134,19 +139,19 @@ TEST(DegradeLadder, DescendsOneRungPerMissStreakAndStopsAtTheFloor) {
   cfg.client.timing = streaming::ClientConfig::Timing::kModeled;
   cfg.dwell = 200 * kMillisecond;
   cfg.accesses = 10;
-  cfg.degrade = true;
-  cfg.degrade_after_misses = 1;
-  cfg.upgrade_after_hits = 100;  // never recovers within this run
-  cfg.interactivity_deadline = 1;
-  cfg.lod_resolution = 32;
+  cfg.agent.degrade = true;
+  cfg.agent.degrade_after_misses = 1;
+  cfg.agent.upgrade_after_hits = 100;  // never recovers within this run
+  cfg.agent.deadline = 1;
+  cfg.lod_resolutions = {32};
 
   const session::ExperimentResult result = session::run_experiment(cfg);
-  EXPECT_EQ(result.robustness.downgrades, 3u);
-  EXPECT_EQ(result.robustness.upgrades, 0u);
+  EXPECT_EQ(total(result.obs, "agent.downgrades"), 3u);
+  EXPECT_EQ(total(result.obs, "agent.upgrades"), 0u);
   // The floor suppresses anticipation entirely.
-  EXPECT_GT(result.robustness.degrade_demand_only, 0u);
+  EXPECT_GT(total(result.obs, "agent.degrade_demand_only"), 0u);
   // The middle rung served at least one demand miss from the coarse tier.
-  EXPECT_GT(result.robustness.degrade_lod, 0u);
+  EXPECT_GT(total(result.obs, "agent.degrade_lod"), 0u);
   EXPECT_EQ(result.failed_accesses, 0u);
 }
 
@@ -164,14 +169,14 @@ TEST(DegradeLadder, SustainedOnTimeDeliveriesClimbBackUp) {
   cfg.client.timing = streaming::ClientConfig::Timing::kModeled;
   cfg.dwell = 2 * kSecond;
   cfg.accesses = 14;
-  cfg.degrade = true;
-  cfg.degrade_after_misses = 1;
-  cfg.upgrade_after_hits = 2;
-  cfg.interactivity_deadline = 100 * kMillisecond;
+  cfg.agent.degrade = true;
+  cfg.agent.degrade_after_misses = 1;
+  cfg.agent.upgrade_after_hits = 2;
+  cfg.agent.deadline = 100 * kMillisecond;
 
   const session::ExperimentResult result = session::run_experiment(cfg);
-  EXPECT_GT(result.robustness.downgrades, 0u);
-  EXPECT_GT(result.robustness.upgrades, 0u);
+  EXPECT_GT(total(result.obs, "agent.downgrades"), 0u);
+  EXPECT_GT(total(result.obs, "agent.upgrades"), 0u);
   EXPECT_EQ(result.failed_accesses, 0u);
 }
 
@@ -275,12 +280,12 @@ TEST_F(ShedTest, QueueFullDeliversAnExplicitShedNotAFailure) {
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(*first, DeliveryStatus::kOk);
   EXPECT_EQ(*second, DeliveryStatus::kShed);
-  EXPECT_EQ(agent.stats().demand_shed, 1u);
-  EXPECT_EQ(agent.stats().shed_queue_full, 1u);
+  EXPECT_EQ(agent.counter("agent.demand_shed"), 1u);
+  EXPECT_EQ(agent.counter("agent.shed_queue_full"), 1u);
   // A shed is an overload refusal, not a depot problem: nothing was
   // invalidated, refetched or failed over.
-  EXPECT_EQ(agent.stats().refetches, 0u);
-  EXPECT_EQ(agent.stats().invalidations, 0u);
+  EXPECT_EQ(agent.counter("agent.refetches"), 0u);
+  EXPECT_EQ(agent.counter("agent.invalidations"), 0u);
 }
 
 TEST_F(ShedTest, CacheHitsAndCoalescedRequestsBypassAdmission) {
@@ -304,7 +309,7 @@ TEST_F(ShedTest, CacheHitsAndCoalescedRequestsBypassAdmission) {
   }
   sim_.run();
   EXPECT_EQ(delivered, 3);
-  EXPECT_EQ(agent.stats().demand_shed, 0u);
+  EXPECT_EQ(agent.counter("agent.demand_shed"), 0u);
   // And once cached, a full queue never sheds a hit.
   agent.request_view_set({0, 0}, client_a_,
                          [&](const streaming::ClientAgent::Delivery& d) {
@@ -313,7 +318,7 @@ TEST_F(ShedTest, CacheHitsAndCoalescedRequestsBypassAdmission) {
                          });
   sim_.run();
   EXPECT_EQ(delivered, 4);
-  EXPECT_EQ(agent.stats().demand_shed, 0u);
+  EXPECT_EQ(agent.counter("agent.demand_shed"), 0u);
 }
 
 // --- augmentation hysteresis --------------------------------------------------
@@ -369,8 +374,8 @@ TEST(Scenarios, RunsAreDeterministic) {
   const session::ScenarioResult b = session::run_scenario(session::flash_crowd(10, true));
   EXPECT_EQ(a.mean_total_s, b.mean_total_s);
   EXPECT_EQ(a.p99_worst_s, b.p99_worst_s);
-  EXPECT_EQ(a.robustness.demand_shed, b.robustness.demand_shed);
-  EXPECT_EQ(a.robustness.shed_retries, b.robustness.shed_retries);
+  EXPECT_EQ(total(a.obs, "agent.demand_shed"), total(b.obs, "agent.demand_shed"));
+  EXPECT_EQ(total(a.obs, "session.shed_retries"), total(b.obs, "session.shed_retries"));
   EXPECT_EQ(a.duration, b.duration);
   // The simulator-core counters are part of the deterministic surface: the
   // scale gate matches them exactly across machines and runs.
@@ -378,6 +383,15 @@ TEST(Scenarios, RunsAreDeterministic) {
   EXPECT_EQ(a.sim_scheduled, b.sim_scheduled);
   EXPECT_EQ(a.net_reallocs, b.net_reallocs);
   EXPECT_EQ(a.net_realloc_flows_touched, b.net_realloc_flows_touched);
+}
+
+// No wall-clock value reaches the run registry: a seeded run's metrics dump
+// is the same bytes every time.
+TEST(Scenarios, SeededRunsDumpIdenticalMetrics) {
+  const session::Scenario scenario = session::teleport_under_faults(2);
+  const session::ScenarioResult a = session::run_scenario(scenario);
+  const session::ScenarioResult b = session::run_scenario(scenario);
+  EXPECT_EQ(a.obs->metrics.jsonl(), b.obs->metrics.jsonl());
 }
 
 // The incremental reallocator (affected-component solve) must be observably
@@ -394,7 +408,7 @@ TEST(Scenarios, FlashCrowdIsIdenticalUnderIncrementalAndFullResolve) {
   EXPECT_EQ(a.p99_mean_s, b.p99_mean_s);
   EXPECT_EQ(a.total_accesses, b.total_accesses);
   EXPECT_EQ(a.failed_accesses, b.failed_accesses);
-  EXPECT_EQ(a.robustness.demand_shed, b.robustness.demand_shed);
+  EXPECT_EQ(total(a.obs, "agent.demand_shed"), total(b.obs, "agent.demand_shed"));
   EXPECT_EQ(a.duration, b.duration);
   EXPECT_EQ(a.sim_events, b.sim_events);
   EXPECT_EQ(a.sim_scheduled, b.sim_scheduled);
@@ -408,10 +422,10 @@ TEST(Scenarios, FlashCrowdAdmissionShedsRetriesAndNobodyStarves) {
   const session::ScenarioResult result =
       session::run_scenario(session::flash_crowd(40, true));
   // The crowd overflows the demand queue: explicit sheds, not silent queues.
-  EXPECT_GT(result.robustness.demand_shed, 0u);
+  EXPECT_GT(total(result.obs, "agent.demand_shed"), 0u);
   // Clients retried through the backoff machinery, not the failure path.
-  EXPECT_GT(result.robustness.shed_retries, 0u);
-  EXPECT_EQ(result.robustness.failovers, 0u);
+  EXPECT_GT(total(result.obs, "session.shed_retries"), 0u);
+  EXPECT_EQ(total(result.obs, "lors.failovers"), 0u);
   // Fair share: every client still made progress.
   EXPECT_GT(result.min_client_delivered, 0u);
 }
@@ -424,7 +438,7 @@ TEST(Scenarios, WarmSiteCacheBeatsCold) {
   EXPECT_EQ(cold.failed_accesses, 0u);
   // With the whole database prestaged before the first view, nothing is
   // fetched across the WAN and the tail collapses.
-  EXPECT_EQ(warm.agent_stats.wan_accesses, 0u);
+  EXPECT_EQ(total(warm.obs, "agent.wan_accesses"), 0u);
   EXPECT_LE(warm.p99_worst_s, cold.p99_worst_s);
 }
 
@@ -435,8 +449,8 @@ TEST(Scenarios, LeaseExpiryWaveIsAbsorbed) {
   // The expiry wave actually happened and the agent healed through it —
   // replica failover away from the dead LAN copy, stale-exNode invalidation
   // and refetch, or restaging, depending on where the read caught it.
-  EXPECT_GT(result.robustness.failovers + result.robustness.invalidations +
-                result.robustness.refetches + result.robustness.restaged,
+  EXPECT_GT(total(result.obs, "lors.failovers") + total(result.obs, "agent.invalidations") +
+                total(result.obs, "agent.refetches") + total(result.obs, "agent.restaged"),
             0u);
 }
 
@@ -448,7 +462,7 @@ TEST(Scenarios, ChaosSoakHasNoUndetectedCorruptionAndNoPermanentLoss) {
   scenario.base.client.decode = true;
   const session::ScenarioResult result = session::run_scenario(scenario);
   // Corruption was injected and caught...
-  EXPECT_GT(result.robustness.corruption_detected, 0u);
+  EXPECT_GT(total(result.obs, "lors.corruption_detected"), 0u);
   EXPECT_GT(result.fault_stats.crashes, 0u);
   // ...and every access was eventually delivered intact.
   EXPECT_EQ(result.failed_accesses, 0u);

@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <sstream>
+#include <string>
 
 #include "lightfield/procedural.hpp"
 #include "session/cursor.hpp"
 #include "session/experiment.hpp"
 #include "session/metrics.hpp"
 #include "session/publisher.hpp"
+#include "session/scenario.hpp"
 
 namespace lon::session {
 namespace {
@@ -158,7 +161,7 @@ TEST(Experiment, Case2StreamsOverWanWithHighLatency) {
 TEST(Experiment, Case3ConvergesToLocalPerformance) {
   const ExperimentResult result = run_experiment(base_config(Case::kWanWithLanDepot));
   EXPECT_EQ(result.summary.total, 20u);
-  EXPECT_GT(result.staged_at_end, 0u);
+  EXPECT_GT(result.obs->metrics.counter_total("agent.staged"), 0u);
   // An initial phase exists, after which no access touches the WAN.
   EXPECT_GT(result.summary.initial_phase, 0u);
   EXPECT_LT(result.summary.initial_phase, result.summary.total);
@@ -202,9 +205,63 @@ TEST(Experiment, CompressionRatioReported) {
   const ExperimentResult result = run_experiment(base_config(Case::kWanStreaming));
   // 24x24 sample views carry heavy per-view header/filter overhead, so the
   // ratio sits well below the paper's 5-7x large-view regime.
-  EXPECT_GT(result.compression_ratio, 1.5);
-  EXPECT_LT(result.compression_ratio, 20.0);
+  const double ratio = result.db_uncompressed_bytes / result.db_compressed_bytes;
+  EXPECT_GT(ratio, 1.5);
+  EXPECT_LT(ratio, 20.0);
   EXPECT_GT(result.db_compressed_bytes, 0.0);
+}
+
+/// The counter lines of a registry dump: every counter with its labels and value.
+std::string counter_lines(const obs::Registry& registry) {
+  std::istringstream in(registry.jsonl());
+  std::string line, out;
+  while (std::getline(in, line)) {
+    if (line.find("\"type\":\"counter\"") != std::string::npos) out += line + '\n';
+  }
+  return out;
+}
+
+/// run_experiment is a one-client run_scenario: the same access records and
+/// the same value for every counter of the run.
+void expect_wrapper_matches_scenario(const ExperimentConfig& cfg) {
+  Scenario scenario;
+  scenario.base = cfg;
+  ScenarioClient client;
+  client.script = CursorScript::standard(lightfield::SphericalLattice(cfg.lattice),
+                                         cfg.dwell, cfg.accesses, cfg.seed);
+  scenario.clients.push_back(std::move(client));
+  const ScenarioResult direct = run_scenario(scenario);
+  const ExperimentResult wrapped = run_experiment(cfg);
+
+  const std::vector<AccessRecord>& a = wrapped.accesses;
+  const std::vector<AccessRecord>& b = direct.clients.front().accesses;
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].id, b[i].id) << i;
+    EXPECT_EQ(a[i].cls, b[i].cls) << i;
+    EXPECT_EQ(a[i].requested, b[i].requested) << i;
+    EXPECT_EQ(a[i].delivered, b[i].delivered) << i;
+    EXPECT_EQ(a[i].comm_latency, b[i].comm_latency) << i;
+    EXPECT_EQ(a[i].decompress_time, b[i].decompress_time) << i;
+    EXPECT_EQ(a[i].compressed_bytes, b[i].compressed_bytes) << i;
+    EXPECT_EQ(a[i].copied_bytes, b[i].copied_bytes) << i;
+    EXPECT_EQ(a[i].lod, b[i].lod) << i;
+  }
+  EXPECT_EQ(counter_lines(wrapped.obs->metrics), counter_lines(direct.obs->metrics));
+  EXPECT_EQ(wrapped.script_duration, direct.duration);
+  EXPECT_EQ(wrapped.staging_complete, direct.staging_complete);
+}
+
+TEST(Experiment, WrapperMatchesOneClientScenarioCase3) {
+  expect_wrapper_matches_scenario(base_config(Case::kWanWithLanDepot));
+}
+
+TEST(Experiment, WrapperMatchesOneClientScenarioWithCoSitedAgents) {
+  // Every co-sited agent prestages, exactly as in run_scenario.
+  ExperimentConfig cfg = base_config(Case::kWanWithLanDepot);
+  cfg.site_agents = 2;
+  cfg.site_cache = true;
+  expect_wrapper_matches_scenario(cfg);
 }
 
 // --- report formatting -------------------------------------------------------------

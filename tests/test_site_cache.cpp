@@ -24,6 +24,11 @@ namespace {
 
 using lightfield::ViewSetId;
 
+/// Run-wide total of one registry counter, summed over every instance.
+std::uint64_t total(const std::shared_ptr<obs::Context>& obs, const std::string& name) {
+  return obs->metrics.counter_total(name);
+}
+
 lightfield::LatticeConfig small_config(std::size_t resolution = 24) {
   lightfield::LatticeConfig cfg;
   cfg.angular_step_deg = 15.0;  // 12 x 24 lattice
@@ -508,9 +513,9 @@ TEST_F(CoSitedPipelineTest, CoSitedAgentsStageEachViewSetExactlyOnce) {
   std::uint64_t coalesced = 0, adopted = 0;
   for (auto& agent : agents_) {
     EXPECT_TRUE(agent->staging_complete());
-    EXPECT_EQ(agent->stats().staged, sets);
-    coalesced += agent->stats().restage_coalesced;
-    adopted += agent->stats().site_adopted;
+    EXPECT_EQ(agent->counter("agent.staged"), sets);
+    coalesced += agent->counter("agent.restage_coalesced");
+    adopted += agent->counter("agent.site_adopted");
   }
   // Exactly one WAN staging per view set, site-wide...
   EXPECT_EQ(site_->stats().restage_leaders, sets);
@@ -528,9 +533,9 @@ TEST_F(CoSitedPipelineTest, ControlAgentsWithoutTheSiteCacheStageNTimes) {
   std::uint64_t wan_bytes = 0;
   for (auto& agent : agents_) {
     EXPECT_TRUE(agent->staging_complete());
-    wan_bytes += agent->stats().stage_wan_bytes;
-    EXPECT_EQ(agent->stats().restage_coalesced, 0u);
-    EXPECT_EQ(agent->stats().site_adopted, 0u);
+    wan_bytes += agent->counter("agent.stage_wan_bytes");
+    EXPECT_EQ(agent->counter("agent.restage_coalesced"), 0u);
+    EXPECT_EQ(agent->counter("agent.site_adopted"), 0u);
   }
   EXPECT_EQ(site_->stats().restage_leaders, 0u);
   // Both agents paid the full database over the WAN: the stampede.
@@ -555,7 +560,7 @@ TEST_F(CoSitedPipelineTest, StagedReplicaDeathCountsExactlyOneRestage) {
   // the 1 h source lease on the WAN replicas, which the refetches depend on.
   sim_.run_until(300 * kSecond);
   ASSERT_TRUE(agent.staging_complete());
-  ASSERT_EQ(agent.stats().restaged, 0u);
+  ASSERT_EQ(agent.counter("agent.restaged"), 0u);
   const std::size_t sets = source_->lattice().view_set_count();
   ASSERT_EQ(site_->stats().restage_leaders, sets);
 
@@ -571,9 +576,9 @@ TEST_F(CoSitedPipelineTest, StagedReplicaDeathCountsExactlyOneRestage) {
   const ViewSetId id{2, 6};
   bool done = false;
   Bytes received = {9};
-  agent.request_view_set(id, [&](const Bytes& data, AccessClass, SimDuration) {
+  agent.request_view_set(id, [&](const ClientAgent::Delivery& d) {
     done = true;
-    received = data;
+    received = *d.payload;
   });
   sim_.run_until(1000 * kSecond);  // covers the incident and the +300 s heal
 
@@ -582,22 +587,22 @@ TEST_F(CoSitedPipelineTest, StagedReplicaDeathCountsExactlyOneRestage) {
   // The refetch budget was spent: several failures, ONE counted restage —
   // only the attempt served from the staged copy dropped it; the WAN-side
   // retries must not count again.
-  EXPECT_EQ(agent.stats().refetches, 2u);
-  EXPECT_EQ(agent.stats().restaged, 1u);
+  EXPECT_EQ(agent.counter("agent.refetches"), 2u);
+  EXPECT_EQ(agent.counter("agent.restaged"), 1u);
   // The queued restage led exactly one single-flight attempt (it failed —
   // the depots were still dark — but it was one flight, not a stampede).
   EXPECT_EQ(site_->stats().restage_leaders, sets + 1);
-  EXPECT_GE(agent.stats().staging_failures, 1u);
+  EXPECT_GE(agent.counter("agent.staging_failures"), 1u);
 
   // After the heal the same view set is served cleanly over the WAN.
   bool delivered = false;
-  agent.request_view_set(id, [&](const Bytes& data, AccessClass cls, SimDuration) {
-    delivered = !data.empty();
-    EXPECT_EQ(cls, AccessClass::kWan);
+  agent.request_view_set(id, [&](const ClientAgent::Delivery& d) {
+    delivered = !d.payload->empty();
+    EXPECT_EQ(d.cls, AccessClass::kWan);
   });
   sim_.run_until(1500 * kSecond);  // still inside the 1 h source lease
   EXPECT_TRUE(delivered);
-  EXPECT_EQ(agent.stats().restaged, 1u);  // still the one incident
+  EXPECT_EQ(agent.counter("agent.restaged"), 1u);  // still the one incident
 }
 
 // Lease-expiry wave across a site: when the shared lease runs out, every
@@ -621,7 +626,7 @@ TEST_F(CoSitedPipelineTest, LeaseExpiryWaveDropsEveryAgentAtomically) {
     for (const ViewSetId& id : source_->lattice().all_view_sets()) {
       EXPECT_FALSE(agent->is_staged(id));
     }
-    EXPECT_EQ(agent->stats().restaged, 0u);  // restage off: pure wave
+    EXPECT_EQ(agent->counter("agent.restaged"), 0u);  // restage off: pure wave
   }
   EXPECT_EQ(site_->size(), 0u);
   // One shared entry per view set, each expiring exactly once site-wide.
@@ -639,15 +644,16 @@ TEST(CoSitedScenario, SiteCacheCollapsesTheRestageStampede) {
   EXPECT_EQ(site.failed_accesses, 0u);
   EXPECT_EQ(control.failed_accesses, 0u);
   // Exactly one WAN staging per hot view set with the cooperative cache...
-  EXPECT_GT(site.robustness.site_restage_keys, 0u);
-  EXPECT_EQ(site.robustness.site_restage_leaders, site.robustness.site_restage_keys);
-  EXPECT_GT(site.robustness.restage_coalesced, 0u);
-  EXPECT_GT(site.robustness.site_adopted, 0u);
+  EXPECT_GT(total(site.obs, "site.restage_keys"), 0u);
+  EXPECT_EQ(total(site.obs, "site.restage_leaders"), total(site.obs, "site.restage_keys"));
+  EXPECT_GT(total(site.obs, "agent.restage_coalesced"), 0u);
+  EXPECT_GT(total(site.obs, "agent.site_adopted"), 0u);
   // ...which buys strictly fewer WAN bytes than everyone restaging alone.
-  EXPECT_LT(site.robustness.stage_wan_bytes, control.robustness.stage_wan_bytes);
+  EXPECT_LT(total(site.obs, "agent.stage_wan_bytes"),
+            total(control.obs, "agent.stage_wan_bytes"));
   // The control never touches the site machinery.
-  EXPECT_EQ(control.robustness.restage_coalesced, 0u);
-  EXPECT_EQ(control.robustness.site_restage_leaders, 0u);
+  EXPECT_EQ(total(control.obs, "agent.restage_coalesced"), 0u);
+  EXPECT_EQ(total(control.obs, "site.restage_leaders"), 0u);
 }
 
 TEST(CoSitedScenario, CoSitedRunsAreDeterministic) {
@@ -656,9 +662,10 @@ TEST(CoSitedScenario, CoSitedRunsAreDeterministic) {
   const session::ScenarioResult b =
       session::run_scenario(session::co_sited_crowd(/*site=*/true, 10));
   EXPECT_EQ(a.mean_total_s, b.mean_total_s);
-  EXPECT_EQ(a.robustness.stage_wan_bytes, b.robustness.stage_wan_bytes);
-  EXPECT_EQ(a.robustness.restage_coalesced, b.robustness.restage_coalesced);
-  EXPECT_EQ(a.robustness.site_restage_leaders, b.robustness.site_restage_leaders);
+  EXPECT_EQ(total(a.obs, "agent.stage_wan_bytes"), total(b.obs, "agent.stage_wan_bytes"));
+  EXPECT_EQ(total(a.obs, "agent.restage_coalesced"),
+            total(b.obs, "agent.restage_coalesced"));
+  EXPECT_EQ(total(a.obs, "site.restage_leaders"), total(b.obs, "site.restage_leaders"));
   EXPECT_EQ(a.sim_events, b.sim_events);
   EXPECT_EQ(a.duration, b.duration);
 }

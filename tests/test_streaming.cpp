@@ -330,10 +330,10 @@ TEST_F(PipelineTest, WanFetchDeliversCorrectBytes) {
   std::optional<AccessClass> cls;
   Bytes received;
   SimDuration comm = 0;
-  agent->request_view_set(id, [&](const Bytes& data, AccessClass c, SimDuration t) {
-    received = data;
-    cls = c;
-    comm = t;
+  agent->request_view_set(id, [&](const ClientAgent::Delivery& d) {
+    received = *d.payload;
+    cls = d.cls;
+    comm = d.comm_latency;
   });
   sim_.run();
   ASSERT_TRUE(cls.has_value());
@@ -348,20 +348,27 @@ TEST_F(PipelineTest, SecondRequestIsAHit) {
   const ViewSetId id{1, 2};
   publish(id);
   auto agent = make_agent(false, false);
-  agent->request_view_set(id, [](const Bytes&, AccessClass, SimDuration) {});
+  agent->request_view_set(id, [](const ClientAgent::Delivery&) {});
   sim_.run();
 
   std::optional<AccessClass> cls;
   SimDuration comm = 0;
-  agent->request_view_set(id, [&](const Bytes& data, AccessClass c, SimDuration t) {
-    EXPECT_FALSE(data.empty());
-    cls = c;
-    comm = t;
+  agent->request_view_set(id, [&](const ClientAgent::Delivery& d) {
+    EXPECT_FALSE(d.payload->empty());
+    cls = d.cls;
+    comm = d.comm_latency;
   });
   sim_.run();
   EXPECT_EQ(cls, AccessClass::kAgentHit);
   EXPECT_EQ(comm, kAgentHitLatency);
-  EXPECT_EQ(agent->stats().hits, 1u);
+  EXPECT_EQ(agent->counter("agent.hits"), 1u);
+}
+
+TEST_F(PipelineTest, CounterLookupRejectsUnregisteredNames) {
+  auto agent = make_agent(false, false);
+  EXPECT_EQ(agent->counter("agent.requests"), 0u);
+  EXPECT_EQ(agent->counter("prefetch.useful"), 0u);
+  EXPECT_THROW((void)agent->counter("agent.no_such"), std::invalid_argument);
 }
 
 TEST_F(PipelineTest, ColdDemandFetchCopiesTheCompressedPayloadExactlyOnce) {
@@ -373,36 +380,36 @@ TEST_F(PipelineTest, ColdDemandFetchCopiesTheCompressedPayloadExactlyOnce) {
   publish(id);
   const std::size_t compressed_size = source_->build_compressed(id).size();
   auto agent = make_agent(false, false);
-  ASSERT_EQ(agent->stats().payload_copy_bytes, 0u);
+  ASSERT_EQ(agent->counter("agent.payload_copy_bytes"), 0u);
 
   bool done = false;
-  agent->request_view_set(id, [&](const Bytes& data, AccessClass, SimDuration) {
-    EXPECT_FALSE(data.empty());
+  agent->request_view_set(id, [&](const ClientAgent::Delivery& d) {
+    EXPECT_FALSE(d.payload->empty());
     done = true;
   });
   sim_.run();
   ASSERT_TRUE(done);
-  EXPECT_EQ(agent->stats().payload_copy_bytes, compressed_size);
+  EXPECT_EQ(agent->counter("agent.payload_copy_bytes"), compressed_size);
 }
 
 TEST_F(PipelineTest, WarmCacheHitCopiesZeroPayloadBytes) {
   const ViewSetId id{1, 2};
   publish(id);
   auto agent = make_agent(false, false);
-  agent->request_view_set(id, [](const Bytes&, AccessClass, SimDuration) {});
+  agent->request_view_set(id, [](const ClientAgent::Delivery&) {});
   sim_.run();
-  const std::uint64_t after_cold = agent->stats().payload_copy_bytes;
+  const std::uint64_t after_cold = agent->counter("agent.payload_copy_bytes");
   EXPECT_GT(after_cold, 0u);
 
   std::optional<AccessClass> cls;
-  agent->request_view_set(id, [&](const Bytes& data, AccessClass c, SimDuration) {
-    EXPECT_FALSE(data.empty());
-    cls = c;
+  agent->request_view_set(id, [&](const ClientAgent::Delivery& d) {
+    EXPECT_FALSE(d.payload->empty());
+    cls = d.cls;
   });
   sim_.run();
   EXPECT_EQ(cls, AccessClass::kAgentHit);
   // The hit serves the cached slab by reference: not one byte copied.
-  EXPECT_EQ(agent->stats().payload_copy_bytes, after_cold);
+  EXPECT_EQ(agent->counter("agent.payload_copy_bytes"), after_cold);
 }
 
 TEST_F(PipelineTest, AccessRecordsCarryPerAccessCopiedBytes) {
@@ -419,7 +426,7 @@ TEST_F(PipelineTest, AccessRecordsCarryPerAccessCopiedBytes) {
   const AccessRecord& cold = client.accesses().front();
   EXPECT_EQ(cold.cls, AccessClass::kWan);
   EXPECT_EQ(cold.copied_bytes, cold.compressed_bytes);
-  EXPECT_EQ(cold.copied_bytes, agent->stats().payload_copy_bytes);
+  EXPECT_EQ(cold.copied_bytes, agent->counter("agent.payload_copy_bytes"));
 
   // A different client instance re-requesting hits the agent cache: the
   // access record shows a zero-copy serve.
@@ -447,7 +454,7 @@ TEST_F(PipelineTest, CursorTriggersQuadrantPrefetch) {
   agent->notify_cursor(dir);
   sim_.run();
 
-  EXPECT_EQ(agent->stats().prefetches, 3u);
+  EXPECT_EQ(agent->counter("agent.prefetches"), 3u);
   const auto targets = lattice.prefetch_targets({1, 3}, lattice.quadrant_of(dir));
   for (const auto& target : targets) {
     EXPECT_TRUE(agent->cache().contains(target))
@@ -468,17 +475,16 @@ TEST_F(PipelineTest, DemandJoinsInflightPrefetch) {
   const auto targets = lattice.prefetch_targets({1, 3}, lattice.quadrant_of(dir));
   std::optional<AccessClass> cls;
   SimDuration comm = 0;
-  agent->request_view_set(targets[0],
-                          [&](const Bytes& data, AccessClass c, SimDuration t) {
-                            EXPECT_FALSE(data.empty());
-                            cls = c;
-                            comm = t;
-                          });
+  agent->request_view_set(targets[0], [&](const ClientAgent::Delivery& d) {
+    EXPECT_FALSE(d.payload->empty());
+    cls = d.cls;
+    comm = d.comm_latency;
+  });
   sim_.run();
   ASSERT_TRUE(cls.has_value());
   EXPECT_EQ(*cls, AccessClass::kWan);  // data still came over the WAN...
   // ...but part of the latency was already hidden by the prefetch head start.
-  EXPECT_GT(agent->stats().prefetches, 0u);
+  EXPECT_GT(agent->counter("agent.prefetches"), 0u);
   EXPECT_LT(comm, 2 * kSecond);
 }
 
@@ -488,8 +494,8 @@ TEST_F(PipelineTest, StagingLocalizesTheWholeDatabase) {
   agent->start_staging();
   sim_.run();
   EXPECT_TRUE(agent->staging_complete());
-  EXPECT_EQ(agent->stats().staged, source_->lattice().view_set_count());
-  EXPECT_EQ(agent->stats().staging_failures, 0u);
+  EXPECT_EQ(agent->counter("agent.staged"), source_->lattice().view_set_count());
+  EXPECT_EQ(agent->counter("agent.staging_failures"), 0u);
   // Every LAN depot holds allocations now.
   for (const auto& name : lan_depots_) {
     EXPECT_GT(fabric_.find_depot(name)->allocation_count(), 0u);
@@ -506,10 +512,10 @@ TEST_F(PipelineTest, StagedAccessIsLanClassAndFast) {
   const ViewSetId id{2, 6};
   std::optional<AccessClass> cls;
   SimDuration comm = 0;
-  agent->request_view_set(id, [&](const Bytes& data, AccessClass c, SimDuration t) {
-    EXPECT_FALSE(data.empty());
-    cls = c;
-    comm = t;
+  agent->request_view_set(id, [&](const ClientAgent::Delivery& d) {
+    EXPECT_FALSE(d.payload->empty());
+    cls = d.cls;
+    comm = d.comm_latency;
   });
   sim_.run();
   EXPECT_EQ(cls, AccessClass::kLanDepot);
@@ -528,7 +534,7 @@ TEST_F(PipelineTest, StagingOrderFollowsCursorProximity) {
   // Let a handful of staging operations finish, then check that what got
   // staged is angularly close to the cursor.
   sim_.run_until(sim_.now() + 3 * kSecond);
-  ASSERT_GT(agent->stats().staged, 0u);
+  ASSERT_GT(agent->counter("agent.staged"), 0u);
   ASSERT_FALSE(agent->staging_complete());
   const double far_distance = lattice.view_set_distance({1, 3}, {2, 7});
   std::size_t staged_near = 0, staged_far = 0;
@@ -635,8 +641,8 @@ TEST_F(PipelineTest, AgentCacheEvictionKeepsSessionCorrect) {
   const std::vector<ViewSetId> walk = {{0, 0}, {1, 1}, {2, 2}, {0, 0}, {3, 3}, {1, 1}};
   for (const auto& id : walk) {
     Bytes received;
-    agent->request_view_set(id, [&](const Bytes& data, AccessClass, SimDuration) {
-      received = data;
+    agent->request_view_set(id, [&](const ClientAgent::Delivery& d) {
+      received = *d.payload;
     });
     sim_.run();
     ASSERT_FALSE(received.empty());
@@ -644,7 +650,7 @@ TEST_F(PipelineTest, AgentCacheEvictionKeepsSessionCorrect) {
   }
   EXPECT_GT(agent->cache().evictions(), 0u);
   // Revisits after eviction re-fetch from the WAN, not from thin air.
-  EXPECT_GT(agent->stats().wan_accesses, 4u);
+  EXPECT_GT(agent->counter("agent.wan_accesses"), 4u);
 }
 
 TEST_F(PipelineTest, ClassifyUsesBestReplicaAcrossAllExtents) {
@@ -671,14 +677,14 @@ TEST_F(PipelineTest, ClassifyUsesBestReplicaAcrossAllExtents) {
   auto agent = make_agent(false, false);
   std::optional<AccessClass> cls;
   Bytes received;
-  agent->request_view_set(id, [&](const Bytes& data, AccessClass c, SimDuration) {
-    received = data;
-    cls = c;
+  agent->request_view_set(id, [&](const ClientAgent::Delivery& d) {
+    received = *d.payload;
+    cls = d.cls;
   });
   sim_.run();
   ASSERT_TRUE(cls.has_value());
   EXPECT_EQ(*cls, AccessClass::kLanDepot);
-  EXPECT_EQ(agent->stats().lan_accesses, 1u);
+  EXPECT_EQ(agent->counter("agent.lan_accesses"), 1u);
   EXPECT_EQ(received, source_->build_compressed(id));
 }
 
@@ -698,28 +704,30 @@ TEST_F(PipelineTest, FailedDownloadAbortsAbandonedPipeline) {
   fabric_.set_offline("ca-1", true);
   bool done = false;
   Bytes received = {9};
-  agent->request_view_set(id, [&](const Bytes& data, AccessClass, SimDuration) {
+  agent->request_view_set(id, [&](const ClientAgent::Delivery& d) {
     done = true;
-    received = data;
+    received = *d.payload;
   });
   sim_.run();
   ASSERT_TRUE(done);
   EXPECT_TRUE(received.empty());  // failure reported, not hung
   // Every failed attempt (initial + each refetch) drained its own pipeline.
-  EXPECT_GT(agent->stats().refetches, 0u);
-  EXPECT_EQ(agent->stats().pipeline_aborts, agent->stats().refetches + 1);
+  EXPECT_GT(agent->counter("agent.refetches"), 0u);
+  EXPECT_EQ(agent->counter("agent.pipeline_aborts"),
+            agent->counter("agent.refetches") + 1);
 
   // Depots return: the same agent then serves the view set cleanly, with no
   // abandoned pipeline work polluting the retried fetch.
   fabric_.set_offline("ca-0", false);
   fabric_.set_offline("ca-1", false);
   Bytes again;
-  agent->request_view_set(id, [&](const Bytes& data, AccessClass, SimDuration) {
-    again = data;
+  agent->request_view_set(id, [&](const ClientAgent::Delivery& d) {
+    again = *d.payload;
   });
   sim_.run();
   EXPECT_EQ(again, source_->build_compressed(id));
-  EXPECT_EQ(agent->stats().pipeline_aborts, agent->stats().refetches + 1);
+  EXPECT_EQ(agent->counter("agent.pipeline_aborts"),
+            agent->counter("agent.refetches") + 1);
 }
 
 TEST_F(PipelineTest, ServerAgentGeneratesOnDvsMiss) {
@@ -733,9 +741,9 @@ TEST_F(PipelineTest, ServerAgentGeneratesOnDvsMiss) {
   const ViewSetId id{0, 4};
   std::optional<AccessClass> cls;
   Bytes received;
-  agent->request_view_set(id, [&](const Bytes& data, AccessClass c, SimDuration) {
-    received = data;
-    cls = c;
+  agent->request_view_set(id, [&](const ClientAgent::Delivery& d) {
+    received = *d.payload;
+    cls = d.cls;
   });
   sim_.run();
   ASSERT_TRUE(cls.has_value());
@@ -757,8 +765,8 @@ TEST_F(PipelineTest, ServerAgentPublishesLfz2WhenConfigured) {
   auto agent = make_agent(false, false);
   const ViewSetId id{2, 3};
   Bytes received;
-  agent->request_view_set(id, [&](const Bytes& data, AccessClass, SimDuration) {
-    received = data;
+  agent->request_view_set(id, [&](const ClientAgent::Delivery& d) {
+    received = *d.payload;
   });
   sim_.run();
   ASSERT_FALSE(received.empty());
