@@ -2,6 +2,7 @@
 // seeded random workloads (TEST_P / INSTANTIATE_TEST_SUITE_P).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <optional>
 
@@ -17,17 +18,21 @@ namespace {
 
 // --- lattice geometry invariants over many configurations ------------------------
 
+// GoogleTest names each instance by a byte dump of its parameter, so the
+// parameter structs are laid out without padding: padding bytes hold whatever
+// was on the stack, and the test names would change from run to run.
 struct LatticeParam {
   double step;
-  int span;
+  std::int64_t span;
 };
+static_assert(sizeof(LatticeParam) == sizeof(double) + sizeof(std::int64_t));
 
 class LatticeProperties : public ::testing::TestWithParam<LatticeParam> {
  protected:
   lightfield::SphericalLattice make() const {
     lightfield::LatticeConfig cfg;
     cfg.angular_step_deg = GetParam().step;
-    cfg.view_set_span = GetParam().span;
+    cfg.view_set_span = static_cast<int>(GetParam().span);
     cfg.view_resolution = 8;
     return lightfield::SphericalLattice(cfg);
   }
@@ -282,8 +287,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ExNodeCoverage,
 
 struct CodecParam {
   std::uint64_t seed;
-  int kind;  // 0 random, 1 runs, 2 text-ish, 3 gradient
+  std::int64_t kind;  // 0 random, 1 runs, 2 text-ish, 3 gradient
 };
+static_assert(sizeof(CodecParam) == 2 * sizeof(std::int64_t));
 
 class CodecProperty : public ::testing::TestWithParam<CodecParam> {};
 
