@@ -7,7 +7,8 @@
 // directions. A separate pair of timings decodes the same Huffman symbol
 // stream with the table-driven decoder and the bit-at-a-time reference; their
 // ratio is machine-relative, so the gate can enforce the table speedup even
-// on a 1-core runner.
+// on a 1-core runner. The same holds for the slicing-by-16 CRC-32 that LoRS
+// runs on every block, timed against its byte-at-a-time reference.
 //
 // Flags:
 //   --smoke   smaller view set / fewer symbols for the CI perf gate
@@ -29,6 +30,7 @@
 #include "streaming/client_agent.hpp"
 #include "streaming/dvs.hpp"
 #include "util/buffer_pool.hpp"
+#include "util/checksum.hpp"
 
 namespace {
 
@@ -185,6 +187,33 @@ FilterResult measure_filters(bool smoke, int reps) {
   return result;
 }
 
+struct Crc32Result {
+  double mb = 0.0;
+  double fast_mb_s = 0.0;
+  double bytewise_mb_s = 0.0;
+  double speedup = 0.0;
+};
+
+/// Times crc32() against the byte-at-a-time reference on one deterministic
+/// pseudo-random buffer; throws if the two disagree.
+Crc32Result measure_crc32(bool smoke, int reps) {
+  Bytes data(smoke ? std::size_t{4} << 20 : std::size_t{16} << 20);
+  std::uint64_t state = 0x2545f4914f6cdd1dull;
+  for (auto& b : data) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    b = static_cast<std::uint8_t>(state >> 56);
+  }
+  std::uint32_t got = 0;
+  std::uint32_t want = 0;
+  Crc32Result result;
+  result.mb = static_cast<double>(data.size()) / 1e6;
+  result.fast_mb_s = result.mb / best_time(reps, [&] { got = crc32(data); });
+  result.bytewise_mb_s = result.mb / best_time(reps, [&] { want = crc32_bytewise(data); });
+  if (got != want) throw std::runtime_error("crc32 disagrees with crc32_bytewise");
+  result.speedup = result.fast_mb_s / result.bytewise_mb_s;
+  return result;
+}
+
 struct DemandCopies {
   std::uint64_t compressed_bytes = 0;   ///< wire size of the published view set
   std::uint64_t cold_copied_bytes = 0;  ///< demand-path copies, cold WAN fetch
@@ -306,6 +335,7 @@ int main(int argc, char** argv) {
                                                    : std::size_t{1} << 21,
                                              reps);
   const FilterResult filters = measure_filters(smoke, reps);
+  const Crc32Result crc = measure_crc32(smoke, reps);
   const DemandCopies demand = measure_demand_copies(smoke);
 
   if (json) {
@@ -329,6 +359,9 @@ int main(int argc, char** argv) {
     std::printf("\"filters\":{\"mb\":%.2f,\"fast_mb_s\":%.1f,\"scalar_mb_s\":%.1f,"
                 "\"speedup\":%.2f},",
                 filters.mb, filters.fast_mb_s, filters.scalar_mb_s, filters.speedup);
+    std::printf("\"crc32\":{\"mb\":%.2f,\"fast_mb_s\":%.1f,\"bytewise_mb_s\":%.1f,"
+                "\"speedup\":%.2f},",
+                crc.mb, crc.fast_mb_s, crc.bytewise_mb_s, crc.speedup);
     std::printf("\"demand\":{\"compressed_bytes\":%llu,\"cold_copied_bytes\":%llu,"
                 "\"warm_copied_bytes\":%llu}}\n",
                 static_cast<unsigned long long>(demand.compressed_bytes),
@@ -354,6 +387,8 @@ int main(int argc, char** argv) {
               decode.symbols);
   std::printf("unfilter: fast %.1f MB/s vs scalar %.1f MB/s (%.2fx on %.1f MB)\n",
               filters.fast_mb_s, filters.scalar_mb_s, filters.speedup, filters.mb);
+  std::printf("crc32: slicing-by-16 %.1f MB/s vs bytewise %.1f MB/s (%.2fx on %.1f MB)\n",
+              crc.fast_mb_s, crc.bytewise_mb_s, crc.speedup, crc.mb);
   std::printf("demand path: %llu compressed bytes, cold copies %llu "
               "(one landing pass), warm copies %llu\n",
               static_cast<unsigned long long>(demand.compressed_bytes),

@@ -21,10 +21,11 @@ to BENCH_pr.json, and compares them against the committed BENCH_baseline.json:
       Codec bytes-on-the-wire and ratios per wire format (stored, lfz1,
       lfzc, lfz2). The compressed sizes are deterministic, so any byte or
       ratio change against the baseline is a HARD failure. Wall-clock MB/s
-      warns like fps. Two same-run machine-relative checks are always hard:
+      warns like fps. Three same-run machine-relative checks are always hard:
       the table-driven Huffman decode must be >= --min-decode-speedup over
-      the bit-at-a-time reference, and the lfz2 container must be strictly
-      smaller than lfzc on the same view set.
+      the bit-at-a-time reference, the slicing-by-16 CRC-32 must be
+      >= MIN_CRC32_SPEEDUP over its byte-at-a-time reference, and the lfz2
+      container must be strictly smaller than lfzc on the same view set.
 
   bench_prefetch --smoke --json
       Client-agent policy engine on scripted cursor walks (virtual time, so
@@ -85,6 +86,9 @@ import sys
 
 HARD_FAILURES = []
 WARNINGS = []
+
+# Same-run slicing-by-16 / bytewise CRC-32 ratio (about 7x on a 4-core Xeon).
+MIN_CRC32_SPEEDUP = 3.0
 
 
 def fail(msg):
@@ -304,6 +308,17 @@ def check_compression(pr, base, tolerance, strict, min_decode_speedup):
     else:
         print(f"ok:   compression: table decode {speedup:.2f}x over bitwise "
               f"({decode.get('table_msym_s', 0):.1f} Msym/s)")
+
+    # LoRS block checksum: machine-relative like the decode speedup; the
+    # bench itself throws if the two kernels disagree.
+    crc = pr.get("crc32", {})
+    speedup = crc.get("speedup", 0.0)
+    if speedup < MIN_CRC32_SPEEDUP:
+        fail(f"compression[crc32]: slicing-by-16 speedup {speedup:.2f}x < "
+             f"{MIN_CRC32_SPEEDUP}x over bytewise")
+    else:
+        print(f"ok:   compression[crc32]: {crc.get('fast_mb_s', 0):.1f} MB/s, "
+              f"{speedup:.2f}x over bytewise")
 
     # Vectorized unfilter kernels: wall clock, so cross-run deltas only warn;
     # the fast/scalar bit-exactness is asserted inside the bench itself.

@@ -1,6 +1,8 @@
 #include "exnode/exnode.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <limits>
 #include <set>
 #include <stdexcept>
 
@@ -12,10 +14,29 @@ namespace {
 
 bool operator_less(const Extent& a, const Extent& b) { return a.offset < b.offset; }
 
+// Strict numeric attributes: the whole value must be decimal digits within
+// the range of T, with no sign, junk or wrap. A crc32 read as the wrong value
+// would make every download of its extent fail verification as corruption.
+template <typename T>
+T parse_uint_attr(const XmlElement& e, const std::string& key) {
+  const std::string& raw = e.attr(key);
+  T value = 0;
+  const char* end = raw.data() + raw.size();
+  const auto [ptr, ec] = std::from_chars(raw.data(), end, value);
+  if (raw.empty() || ec != std::errc{} || ptr != end) {
+    throw XmlError("exnode: attribute '" + key + "' is not a decimal integer in [0, " +
+                   std::to_string(std::numeric_limits<T>::max()) + "]: \"" + raw + "\"");
+  }
+  return value;
+}
+
 }  // namespace
 
 void ExNode::add_extent(Extent extent) {
   if (extent.length == 0) throw std::invalid_argument("ExNode: zero-length extent");
+  if (extent.length > std::numeric_limits<std::uint64_t>::max() - extent.offset) {
+    throw std::invalid_argument("ExNode: extent end overflows 64 bits");
+  }
   const auto pos = std::lower_bound(extents_.begin(), extents_.end(), extent, operator_less);
   // Overlap checks against neighbours.
   if (pos != extents_.begin()) {
@@ -115,17 +136,21 @@ std::string ExNode::to_xml() const {
 ExNode ExNode::from_xml(const std::string& xml) {
   const XmlElement root = parse_xml(xml);
   if (root.name != "exnode") throw XmlError("expected <exnode> root, got <" + root.name + ">");
-  ExNode node(std::stoull(root.attr("length")));
+  ExNode node(parse_uint_attr<std::uint64_t>(root, "length"));
   for (const XmlElement* meta : root.children_named("metadata")) {
     node.metadata()[meta->attr("key")] = meta->text;
   }
   for (const XmlElement* ext : root.children_named("extent")) {
     Extent extent;
-    extent.offset = std::stoull(ext->attr("offset"));
-    extent.length = std::stoull(ext->attr("length"));
-    const std::string crc = ext->attr_or("crc32", "");
-    if (!crc.empty()) {
-      extent.checksum = static_cast<std::uint32_t>(std::stoul(crc));
+    extent.offset = parse_uint_attr<std::uint64_t>(*ext, "offset");
+    extent.length = parse_uint_attr<std::uint64_t>(*ext, "length");
+    // Subtraction form: offset + length could wrap.
+    if (extent.length > node.length() || extent.offset > node.length() - extent.length) {
+      throw XmlError("exnode: extent [" + ext->attr("offset") + ", +" + ext->attr("length") +
+                     ") ends past the exnode length " + root.attr("length"));
+    }
+    if (ext->attributes.contains("crc32")) {
+      extent.checksum = parse_uint_attr<std::uint32_t>(*ext, "crc32");
     }
     for (const XmlElement* rep : ext->children_named("replica")) {
       auto cap = ibp::Capability::parse(rep->attr("uri"));
@@ -138,10 +163,16 @@ ExNode ExNode::from_xml(const std::string& xml) {
         if (!manage) throw XmlError("bad capability uri: " + manage_uri);
         replica.manage = *manage;
       }
-      replica.alloc_offset = std::stoull(rep->attr_or("alloc_offset", "0"));
+      if (rep->attributes.contains("alloc_offset")) {
+        replica.alloc_offset = parse_uint_attr<std::uint64_t>(*rep, "alloc_offset");
+      }
       extent.replicas.push_back(std::move(replica));
     }
-    node.add_extent(std::move(extent));
+    try {
+      node.add_extent(std::move(extent));
+    } catch (const std::invalid_argument& e) {
+      throw XmlError(e.what());  // zero-length or overlapping extent
+    }
   }
   return node;
 }

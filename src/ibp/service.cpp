@@ -258,8 +258,10 @@ void Fabric::load_async(sim::NodeId client, const Capability& read_cap,
                net_.start_transfer(
                    hosted.node, client, payload->size(), flow,
                    [payload, dest, dest_offset, cb](const sim::TransferResult& r) {
-                     if (r.cancelled ||
-                         dest_offset + payload->size() > dest->size()) {
+                     // Written so it cannot wrap: an extent offset near
+                     // 2^64 must not land before the slab.
+                     if (r.cancelled || dest_offset > dest->size() ||
+                         payload->size() > dest->size() - dest_offset) {
                        cb(IbpStatus::kRefused, 0);
                        return;
                      }

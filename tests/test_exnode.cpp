@@ -1,6 +1,10 @@
 // Unit tests for the exNode and its XML encoding.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
+#include <string>
+
 #include "exnode/exnode.hpp"
 #include "exnode/xml.hpp"
 
@@ -111,6 +115,13 @@ TEST(ExNode, RejectsOverlapsAndZeroLength) {
   node.add_extent({50, 50, {}, {}});  // exactly adjacent is fine
 }
 
+TEST(ExNode, RejectsAnExtentWhoseEndWraps) {
+  ExNode node(16);
+  EXPECT_THROW(node.add_extent({UINT64_MAX - 3, 16, {}, {}}), std::invalid_argument);
+  EXPECT_TRUE(node.extents().empty());
+  node.add_extent({UINT64_MAX - 15, 15, {}, {}});  // ends exactly at 2^64 - 1
+}
+
 TEST(ExNode, CompletenessRequiresFullCoverageAndReplicas) {
   ExNode node(200);
   EXPECT_FALSE(node.complete());
@@ -187,6 +198,54 @@ TEST(ExNode, FromXmlRejectsWrongRoot) {
   EXPECT_THROW(ExNode::from_xml("<inode length=\"1\"/>"), XmlError);
   EXPECT_THROW(ExNode::from_xml("<exnode length=\"8\"><extent offset=\"0\" "
                                 "length=\"8\"><replica uri=\"garbage\"/></extent></exnode>"),
+               XmlError);
+}
+
+// A length-16 exNode with one extent; each argument replaces one attribute's
+// text verbatim.
+std::string one_extent_xml(const std::string& offset, const std::string& length,
+                           const std::string& crc, const std::string& alloc_offset) {
+  return "<exnode length=\"16\"><extent offset=\"" + offset + "\" length=\"" + length +
+         "\" crc32=\"" + crc + "\"><replica uri=\"" + make_cap("d1", 1).to_uri() +
+         "\" alloc_offset=\"" + alloc_offset + "\"/></extent></exnode>";
+}
+
+TEST(ExNode, FromXmlAcceptsTheLimitsOfEachNumber) {
+  const ExNode node = ExNode::from_xml(one_extent_xml("0", "16", "4294967295",
+                                                      "18446744073709551615"));
+  ASSERT_EQ(node.extents().size(), 1u);
+  EXPECT_EQ(node.extents()[0].checksum, 0xFFFFFFFFu);
+  EXPECT_EQ(node.extents()[0].replicas[0].alloc_offset, UINT64_MAX);
+  EXPECT_EQ(ExNode::from_xml(one_extent_xml("8", "8", "0", "0")).extents()[0].end(), 16u);
+}
+
+TEST(ExNode, FromXmlRejectsCrc32OutsideItsRangeOrWithJunk) {
+  for (const char* crc : {"4294967296", "-1", "12abc", "x", "", " 7", "+7"}) {
+    EXPECT_THROW(ExNode::from_xml(one_extent_xml("0", "16", crc, "0")), XmlError) << crc;
+  }
+}
+
+TEST(ExNode, FromXmlRejectsOffsetsAndLengthsWithJunkOrSign) {
+  for (const char* bad : {"-1", "8junk", "x", "", "18446744073709551616"}) {
+    EXPECT_THROW(ExNode::from_xml(one_extent_xml(bad, "16", "0", "0")), XmlError) << bad;
+    EXPECT_THROW(ExNode::from_xml(one_extent_xml("0", bad, "0", "0")), XmlError) << bad;
+    EXPECT_THROW(ExNode::from_xml(one_extent_xml("0", "16", "0", bad)), XmlError) << bad;
+  }
+  EXPECT_THROW(ExNode::from_xml("<exnode length=\"16junk\"/>"), XmlError);
+  EXPECT_THROW(ExNode::from_xml("<exnode length=\"-1\"/>"), XmlError);
+}
+
+TEST(ExNode, FromXmlRejectsExtentsPastTheNodeLength) {
+  EXPECT_THROW(ExNode::from_xml(one_extent_xml("8", "64", "0", "0")), XmlError);
+  EXPECT_THROW(ExNode::from_xml(one_extent_xml("8", "9", "0", "0")), XmlError);
+  EXPECT_THROW(ExNode::from_xml(one_extent_xml("18446744073709551612", "16", "0", "0")),
+               XmlError);
+}
+
+TEST(ExNode, FromXmlReportsBadExtentLayoutAsXmlError) {
+  EXPECT_THROW(ExNode::from_xml(one_extent_xml("0", "0", "0", "0")), XmlError);
+  EXPECT_THROW(ExNode::from_xml("<exnode length=\"16\"><extent offset=\"0\" length=\"8\"/>"
+                                "<extent offset=\"4\" length=\"8\"/></exnode>"),
                XmlError);
 }
 

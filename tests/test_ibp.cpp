@@ -3,6 +3,8 @@
 // including third-party copy.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
 #include <optional>
 
 #include "ibp/capability.hpp"
@@ -314,6 +316,36 @@ TEST_F(FabricTest, StoreThenLoadOverNetwork) {
   sim_.run();
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(*loaded, payload);
+}
+
+TEST_F(FabricTest, LoadIntoRefusesALandingOffsetThatWraps) {
+  const auto caps = remote_allocate("lan", 16);
+  std::optional<IbpStatus> stored;
+  fabric_.store_async(client_, caps.write, 0, Bytes(16, 0xab), {},
+                      [&](IbpStatus s) { stored = s; });
+  sim_.run();
+  ASSERT_EQ(stored, IbpStatus::kOk);
+
+  // dest_offset + 16 wraps to 12, which a naive bound check would accept.
+  auto dest = std::make_shared<Bytes>(16, 0x11);
+  std::optional<IbpStatus> status;
+  std::size_t received = 1;
+  fabric_.load_async(client_, caps.read, 0, 16, {}, dest, UINT64_MAX - 3,
+                     [&](IbpStatus s, std::size_t n) {
+                       status = s;
+                       received = n;
+                     });
+  sim_.run();
+  EXPECT_EQ(status, IbpStatus::kRefused);
+  EXPECT_EQ(received, 0u);
+  EXPECT_EQ(*dest, Bytes(16, 0x11));
+
+  // The same bound, exactly met, lands.
+  fabric_.load_async(client_, caps.read, 0, 16, {}, dest, 0,
+                     [&](IbpStatus s, std::size_t) { status = s; });
+  sim_.run();
+  EXPECT_EQ(status, IbpStatus::kOk);
+  EXPECT_EQ(*dest, Bytes(16, 0xab));
 }
 
 TEST_F(FabricTest, LanLoadIsMuchFasterThanWan) {

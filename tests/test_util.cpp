@@ -148,6 +148,41 @@ TEST(Checksum, Crc32DetectsBitFlip) {
   EXPECT_NE(crc32(data), clean);
 }
 
+Bytes random_bytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  Bytes data(n);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.next());
+  return data;
+}
+
+TEST(Checksum, Crc32MatchesBytewiseAtEveryLengthAndAlignment) {
+  const Bytes data = random_bytes(16 + 300, 0xc3c32);
+  const std::span<const std::uint8_t> all(data);
+  for (const std::uint32_t start : {0u, 0x9e3779b9u}) {
+    for (std::size_t offset = 0; offset < 16; ++offset) {
+      for (std::size_t length = 0; length <= 300; ++length) {
+        const auto slice = all.subspan(offset, length);
+        ASSERT_EQ(crc32(slice, start), crc32_bytewise(slice, start))
+            << "offset " << offset << " length " << length << " start " << start;
+      }
+    }
+  }
+}
+
+TEST(Checksum, Crc32MatchesBytewiseOnALargeBuffer) {
+  const Bytes data = random_bytes((std::size_t{1} << 20) + 7, 77);
+  EXPECT_EQ(crc32(data), crc32_bytewise(data));
+}
+
+TEST(Checksum, Crc32ContinuesAcrossEverySplit) {
+  const Bytes data = random_bytes(100, 5);
+  const std::span<const std::uint8_t> all(data);
+  const std::uint32_t whole = crc32(all);
+  for (std::size_t split = 0; split <= all.size(); ++split) {
+    EXPECT_EQ(crc32(all.subspan(split), crc32(all.first(split))), whole) << split;
+  }
+}
+
 // --- rng ---------------------------------------------------------------------
 
 TEST(Rng, DeterministicForSeed) {
