@@ -5,9 +5,11 @@
 // plus a summary block comparing against the paper's qualitative claims.
 #pragma once
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <string>
 
 #include "session/experiment.hpp"
@@ -49,6 +51,28 @@ inline session::ExperimentConfig small_config(std::size_t resolution,
 /// summed over every instance, typed for printf's %llu.
 inline unsigned long long counter(const obs::Context& obs, const std::string& name) {
   return obs.metrics.counter_total(name);
+}
+
+/// One entry of a Registry::counter_totals map, typed the same way; throws
+/// std::out_of_range on a name the run never registered.
+inline unsigned long long counter(const std::map<std::string, std::uint64_t>& totals,
+                                  const std::string& name) {
+  return totals.at(name);
+}
+
+/// Prints a run's counter totals (Registry::counter_totals) as one JSON
+/// member, `"counters":{"agent.demand_shed":N,...}`: every counter under its
+/// registry name, so the bench rows and ci/perf_gate.py spell a counter the
+/// way the layer that increments it does.
+inline void print_counters_json(const std::map<std::string, std::uint64_t>& totals) {
+  std::printf("\"counters\":{");
+  const char* sep = "";
+  for (const auto& [name, total] : totals) {
+    std::printf("%s\"%s\":%llu", sep, obs::json_escape(name).c_str(),
+                static_cast<unsigned long long>(total));
+    sep = ",";
+  }
+  std::printf("}");
 }
 
 /// Dumps a run's observability artifacts next to the bench output when

@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -46,14 +47,9 @@ struct Row {
   double hit_rate = 0.0;
   double mean_s = 0.0;
   double p99_s = 0.0;
-  std::uint64_t predictions = 0;
-  std::uint64_t prefetches = 0;
-  std::uint64_t prefetch_bytes = 0;
-  std::uint64_t useful_bytes = 0;
-  std::uint64_t wasted_bytes = 0;
-  std::uint64_t pollution_evictions = 0;
-  std::uint64_t rejected_prefetch = 0;
+  std::uint64_t wasted_bytes = 0;  ///< prefetched bytes no demand ever used
   std::size_t failed = 0;
+  std::map<std::string, std::uint64_t> counters;  ///< Registry::counter_totals
 };
 
 session::CursorScript make_script(const lightfield::SphericalLattice& lattice,
@@ -115,18 +111,14 @@ Row run_scenario(const Scenario& s, bool smoke) {
   if (!totals.empty())
     row.p99_s = totals[(totals.size() - 1) * 99 / 100];
 
-  const auto& reg = result.obs->metrics;
-  const std::uint64_t requests = reg.counter_total("agent.requests");
-  row.hit_rate = requests > 0 ? static_cast<double>(reg.counter_total("agent.hits")) /
+  row.counters = result.obs->metrics.counter_totals();
+  const std::uint64_t requests = row.counters.at("agent.requests");
+  row.hit_rate = requests > 0 ? static_cast<double>(row.counters.at("agent.hits")) /
                                     static_cast<double>(requests)
                               : 0.0;
-  row.predictions = reg.counter_total("policy.predictions");
-  row.prefetches = reg.counter_total("agent.prefetches");
-  row.pollution_evictions = reg.counter_total("cache.pollution_evictions");
-  row.rejected_prefetch = reg.counter_total("cache.rejected_prefetch");
-  row.prefetch_bytes = reg.counter_total("prefetch.bytes");
-  row.useful_bytes = reg.counter_total("prefetch.useful_bytes");
-  row.wasted_bytes = row.prefetch_bytes - std::min(row.useful_bytes, row.prefetch_bytes);
+  const std::uint64_t prefetch_bytes = row.counters.at("prefetch.bytes");
+  row.wasted_bytes =
+      prefetch_bytes - std::min(row.counters.at("prefetch.useful_bytes"), prefetch_bytes);
   return row;
 }
 
@@ -179,20 +171,13 @@ int main(int argc, char** argv) {
       std::printf(
           "%s{\"name\":\"%s\",\"script\":\"%s\",\"policy\":\"%s\","
           "\"eviction\":\"%s\",\"accesses\":%zu,\"hit_rate\":%.4f,"
-          "\"mean_s\":%.6f,\"p99_s\":%.6f,\"predictions\":%llu,"
-          "\"prefetches\":%llu,\"prefetch_bytes\":%llu,\"useful_bytes\":%llu,"
-          "\"wasted_bytes\":%llu,\"pollution_evictions\":%llu,"
-          "\"rejected_prefetch\":%llu,\"failed\":%zu}",
+          "\"mean_s\":%.6f,\"p99_s\":%.6f,\"wasted_bytes\":%llu,\"failed\":%zu,",
           i == 0 ? "" : ",", row_name(r).c_str(), r.scenario.script.c_str(),
           policy::to_string(r.scenario.strategy),
           eviction_label(r.scenario.eviction), r.accesses, r.hit_rate, r.mean_s,
-          r.p99_s, static_cast<unsigned long long>(r.predictions),
-          static_cast<unsigned long long>(r.prefetches),
-          static_cast<unsigned long long>(r.prefetch_bytes),
-          static_cast<unsigned long long>(r.useful_bytes),
-          static_cast<unsigned long long>(r.wasted_bytes),
-          static_cast<unsigned long long>(r.pollution_evictions),
-          static_cast<unsigned long long>(r.rejected_prefetch), r.failed);
+          r.p99_s, static_cast<unsigned long long>(r.wasted_bytes), r.failed);
+      bench::print_counters_json(r.counters);
+      std::printf("}");
     }
     std::printf("]}\n");
     return 0;
@@ -208,7 +193,7 @@ int main(int argc, char** argv) {
     std::printf("%-34s %9zu %9.3f %10.4f %10.4f %12llu %8llu %7zu\n",
                 row_name(r).c_str(), r.accesses, r.hit_rate, r.mean_s, r.p99_s,
                 static_cast<unsigned long long>(r.wasted_bytes),
-                static_cast<unsigned long long>(r.rejected_prefetch), r.failed);
+                bench::counter(r.counters, "cache.rejected_prefetch"), r.failed);
   }
   return 0;
 }

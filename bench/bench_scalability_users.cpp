@@ -16,6 +16,7 @@
 //   --json    machine-readable output (one JSON object) for ci/perf_gate.py
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -34,21 +35,13 @@ struct Row {
   double p99_worst_s = 0.0;   ///< worst per-client p99
   double p99_mean_s = 0.0;    ///< mean of per-client p99s
   double hit_rate = 0.0;
-  std::uint64_t lan = 0;
-  std::uint64_t wan = 0;
   double virtual_duration_s = 0.0;
   std::size_t failed = 0;
   bool admission = false;     ///< overload protection on (the large-N rows)
   double p99_vs_1user = 0.0;  ///< p99-mean degradation relative to the 1-user row
-
-  // Scheduler/reallocator cost (deterministic except wall_s/events_per_sec).
-  std::size_t min_delivered = 0;       ///< worst-off client's deliveries
-  std::uint64_t demand_shed = 0;       ///< admission-refused demand requests
-  std::uint64_t sim_events = 0;        ///< events executed
-  std::uint64_t reallocs = 0;          ///< max-min solves run
-  std::uint64_t realloc_flows_touched = 0;  ///< flows re-rated, summed
-  double wall_s = 0.0;                 ///< host wall-clock (informational)
-  double events_per_sec = 0.0;         ///< sim_events / wall_s
+  std::size_t min_delivered = 0;  ///< worst-off client's deliveries
+  double wall_s = 0.0;            ///< host wall-clock, setup included (informational)
+  std::map<std::string, std::uint64_t> counters;  ///< Registry::counter_totals
 };
 
 Row run_users(int n_clients, std::size_t accesses_per_client, bool admission = false) {
@@ -83,7 +76,6 @@ Row run_users(int n_clients, std::size_t accesses_per_client, bool admission = f
 
   const session::ScenarioResult result = session::run_scenario(session::multi_client(
       base, n_clients, accesses_per_client, /*seed=*/100, 250 * kMillisecond));
-  const obs::Registry& metrics = result.obs->metrics;
 
   Row row;
   row.users = n_clients;
@@ -94,20 +86,13 @@ Row run_users(int n_clients, std::size_t accesses_per_client, bool admission = f
   row.mean_total_s = result.mean_total_s;
   row.p99_worst_s = result.p99_worst_s;
   row.p99_mean_s = result.p99_mean_s;
-  const std::uint64_t requests = metrics.counter_total("agent.requests");
-  row.hit_rate = requests > 0 ? static_cast<double>(metrics.counter_total("agent.hits")) /
+  row.counters = result.obs->metrics.counter_totals();
+  const std::uint64_t requests = row.counters.at("agent.requests");
+  row.hit_rate = requests > 0 ? static_cast<double>(row.counters.at("agent.hits")) /
                                     static_cast<double>(requests)
                               : 0.0;
-  row.lan = metrics.counter_total("agent.lan_accesses");
-  row.wan = metrics.counter_total("agent.wan_accesses");
   row.min_delivered = result.min_client_delivered;
-  row.demand_shed = metrics.counter_total("agent.demand_shed");
-  row.sim_events = result.sim_events;
-  row.reallocs = result.net_reallocs;
-  row.realloc_flows_touched = result.net_realloc_flows_touched;
   row.wall_s = result.wall_s;
-  row.events_per_sec =
-      result.wall_s > 0.0 ? static_cast<double>(result.sim_events) / result.wall_s : 0.0;
   return row;
 }
 
@@ -149,20 +134,14 @@ int main(int argc, char** argv) {
       std::printf(
           "%s{\"users\":%d,\"accesses\":%zu,\"mean_total_s\":%.6f,"
           "\"p99_worst_s\":%.6f,\"p99_mean_s\":%.6f,\"hit_rate\":%.4f,"
-          "\"lan\":%llu,\"wan\":%llu,\"virtual_duration_s\":%.3f,\"failed\":%zu,"
+          "\"virtual_duration_s\":%.3f,\"failed\":%zu,"
           "\"admission\":%s,\"p99_vs_1user\":%.4f,"
-          "\"min_delivered\":%zu,\"demand_shed\":%llu,\"sim_events\":%llu,"
-          "\"reallocs\":%llu,\"realloc_flows_touched\":%llu,"
-          "\"wall_s\":%.3f,\"events_per_sec\":%.0f}",
+          "\"min_delivered\":%zu,\"wall_s\":%.3f,",
           i == 0 ? "" : ",", r.users, r.accesses, r.mean_total_s, r.p99_worst_s,
-          r.p99_mean_s, r.hit_rate, static_cast<unsigned long long>(r.lan),
-          static_cast<unsigned long long>(r.wan), r.virtual_duration_s, r.failed,
-          r.admission ? "true" : "false", r.p99_vs_1user, r.min_delivered,
-          static_cast<unsigned long long>(r.demand_shed),
-          static_cast<unsigned long long>(r.sim_events),
-          static_cast<unsigned long long>(r.reallocs),
-          static_cast<unsigned long long>(r.realloc_flows_touched), r.wall_s,
-          r.events_per_sec);
+          r.p99_mean_s, r.hit_rate, r.virtual_duration_s, r.failed,
+          r.admission ? "true" : "false", r.p99_vs_1user, r.min_delivered, r.wall_s);
+      bench::print_counters_json(r.counters);
+      std::printf("}");
     }
     std::printf("]}\n");
     return 0;
@@ -177,23 +156,22 @@ int main(int argc, char** argv) {
   for (const Row& r : rows) {
     std::printf("%8d %10zu %12.3f %12.3f %12.3f %10.2f %8llu %8llu %8zu %6s %10.2f\n",
                 r.users, r.accesses, r.mean_total_s, r.p99_worst_s, r.p99_mean_s,
-                r.hit_rate, static_cast<unsigned long long>(r.lan),
-                static_cast<unsigned long long>(r.wan), r.failed,
+                r.hit_rate, bench::counter(r.counters, "agent.lan_accesses"),
+                bench::counter(r.counters, "agent.wan_accesses"), r.failed,
                 r.admission ? "on" : "off", r.p99_vs_1user);
   }
 
   // Scheduler-cost section: how hard the discrete-event core worked. The
-  // event and solve counts are deterministic; wall time and events/sec are
-  // host-dependent and informational only.
+  // event and solve counts are deterministic; wall time is host-dependent,
+  // includes system build and publish, and is informational only.
   std::printf("\nScheduler cost (calendar-queue core, incremental max-min):\n");
-  std::printf("%8s %14s %10s %14s %10s %12s\n", "users", "sim-events", "reallocs",
-              "flows-touched", "wall (s)", "events/sec");
+  std::printf("%8s %14s %10s %14s %10s\n", "users", "sim-events", "reallocs",
+              "flows-touched", "wall (s)");
   for (const Row& r : rows) {
-    std::printf("%8d %14llu %10llu %14llu %10.3f %12.0f\n", r.users,
-                static_cast<unsigned long long>(r.sim_events),
-                static_cast<unsigned long long>(r.reallocs),
-                static_cast<unsigned long long>(r.realloc_flows_touched), r.wall_s,
-                r.events_per_sec);
+    std::printf("%8d %14llu %10llu %14llu %10.3f\n", r.users,
+                bench::counter(r.counters, "sim.events_executed"),
+                bench::counter(r.counters, "net.reallocs"),
+                bench::counter(r.counters, "net.realloc_flows_touched"), r.wall_s);
   }
   return 0;
 }

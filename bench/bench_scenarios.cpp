@@ -53,30 +53,17 @@ void print_json(const std::vector<Row>& rows, bool smoke) {
               smoke ? "smoke" : "full");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const session::ScenarioResult& r = rows[i].r;
-    const auto n = [&](const char* name) { return bench::counter(*r.obs, name); };
     std::printf(
         "%s{\"name\":\"%s\",\"clients\":%zu,\"accesses\":%zu,\"failed\":%zu,"
         "\"min_delivered\":%zu,\"mean_total_s\":%.6f,\"p99_worst_s\":%.6f,"
         "\"p99_mean_s\":%.6f,\"slo_s\":%.3f,\"shed_fraction\":%.4f,"
-        "\"demand_shed\":%llu,\"shed_retries\":%llu,\"downgrades\":%llu,"
-        "\"upgrades\":%llu,\"degrade_lod\":%llu,\"hot_reports\":%llu,"
-        "\"augments\":%llu,\"failovers\":%llu,\"corruption_detected\":%llu,"
-        "\"deadline_misses\":%zu,\"lod_coarse_serves\":%llu,"
-        "\"lod_refinements\":%llu,\"lod_refined\":%llu,"
-        "\"restaged\":%llu,\"restage_coalesced\":%llu,\"site_hits\":%llu,"
-        "\"site_adopted\":%llu,\"stage_wan_bytes\":%llu,"
-        "\"site_restage_leaders\":%llu,\"site_restage_keys\":%llu,"
-        "\"virtual_duration_s\":%.3f}",
+        "\"deadline_misses\":%zu,\"virtual_duration_s\":%.3f,",
         i == 0 ? "" : ",", r.name.c_str(), r.clients.size(), r.total_accesses,
         r.failed_accesses, r.min_client_delivered, r.mean_total_s, r.p99_worst_s,
-        r.p99_mean_s, rows[i].slo_s, r.shed_fraction, n("agent.demand_shed"),
-        n("session.shed_retries"), n("agent.downgrades"), n("agent.upgrades"),
-        n("agent.degrade_lod"), n("agent.hot_reports"), n("server.augments"),
-        n("lors.failovers"), n("lors.corruption_detected"), rows[i].deadline_misses,
-        n("agent.lod_coarse_serves"), n("agent.lod_refinements"), n("agent.lod_refined"),
-        n("agent.restaged"), n("agent.restage_coalesced"), n("agent.site_hits"),
-        n("agent.site_adopted"), n("agent.stage_wan_bytes"), n("site.restage_leaders"),
-        n("site.restage_keys"), to_seconds(r.duration));
+        r.p99_mean_s, rows[i].slo_s, r.shed_fraction, rows[i].deadline_misses,
+        to_seconds(r.duration));
+    bench::print_counters_json(r.obs->metrics.counter_totals());
+    std::printf("}");
   }
   std::printf("]}\n");
 }

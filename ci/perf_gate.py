@@ -68,6 +68,15 @@ smoke budget:
       against --wall-budget (runner-dependent), but a run that cannot
       finish at all still fails the job via the CI timeout.
 
+Counters: the three virtual-time benches (scalability_users, prefetch,
+scenarios) print every registry counter of a run in each row's "counters"
+object under its registry name ("agent.demand_shed", "site.restage_leaders",
+"sim.events_executed"), and BENCH_baseline.json keeps them the same way. The
+gate reads them only by that name, through counter_reader. A name missing
+from one row is 0 there (the run never registered it); a name the gate reads
+that appears in no row of its section is a hard failure, so a misspelled
+counter cannot pass a check by reading as 0.
+
 Exit status is non-zero on any hard failure. A PR that intentionally changes
 performance updates the baseline in the same commit:
 
@@ -99,6 +108,30 @@ def fail(msg):
 def warn(msg):
     WARNINGS.append(msg)
     print(f"warn: {msg}")
+
+
+def counter_reader(section, rows):
+    """Returns counter(row, name) for one bench section.
+
+    Benches print every registry counter of a run under its registry name in
+    the row's "counters" object, so this is the only way the gate reads a
+    counter. A name missing from one row reads as 0: that row's run never
+    registered it (co_sited/control builds no SiteCache). A name that
+    appears in no row of `rows` (the section as this run produced it) is a
+    misspelling or a counter that no longer exists, and would otherwise read
+    as 0 and pass every check built on it, so it is a hard failure.
+    """
+    known = set().union(*(row.get("counters", {}) for row in rows))
+    unknown = set()
+
+    def counter(row, name):
+        if name not in known and name not in unknown:
+            unknown.add(name)
+            fail(f"{section}: counter {name} appears in no row "
+                 f"(misspelled, or no longer registered)")
+        return row.get("counters", {}).get(name, 0)
+
+    return counter
 
 
 def run_json(cmd):
@@ -175,6 +208,7 @@ def check_scalability_full(pr, base, tolerance, wall_budget):
     get the regular relative tolerance instead of exact equality.
     """
     base_rows = {row["users"]: row for row in base.get("results", [])}
+    counter = counter_reader("scale_full", pr.get("results", []))
     wall_total = 0.0
     for row in pr.get("results", []):
         users = row["users"]
@@ -190,9 +224,11 @@ def check_scalability_full(pr, base, tolerance, wall_budget):
             continue
         ref = base_rows[users]
         exact_ok = True
-        for key in ("accesses", "demand_shed", "sim_events", "reallocs",
-                    "realloc_flows_touched"):
-            got, want = row.get(key), ref.get(key)
+        exact = {"accesses": (row.get("accesses"), ref.get("accesses"))}
+        for name in ("agent.demand_shed", "sim.events_executed", "net.reallocs",
+                     "net.realloc_flows_touched"):
+            exact[name] = (counter(row, name), counter(ref, name))
+        for key, (got, want) in exact.items():
             if want is not None and got != want:
                 fail(f"{tag}: {key} {got} != baseline {want} "
                      f"(virtual time: must be bit-identical)")
@@ -204,8 +240,9 @@ def check_scalability_full(pr, base, tolerance, wall_budget):
                      f"by more than {tolerance:.0%} (virtual time: deterministic)")
                 exact_ok = False
         if exact_ok:
-            print(f"ok:   {tag}: {row['sim_events']} events, "
-                  f"{row['reallocs']} solves, p99-vs-1 {row['p99_vs_1user']:.2f}, "
+            print(f"ok:   {tag}: {counter(row, 'sim.events_executed')} events, "
+                  f"{counter(row, 'net.reallocs')} solves, "
+                  f"p99-vs-1 {row['p99_vs_1user']:.2f}, "
                   f"min delivered {row['min_delivered']}, "
                   f"wall {row.get('wall_s', 0.0):.1f}s")
     if wall_total > wall_budget:
@@ -364,6 +401,7 @@ def check_prefetch(pr, base, tolerance):
     """Deterministic policy metrics vs baseline + same-run policy ordering."""
     base_rows = {row["name"]: row for row in base.get("results", [])}
     pr_rows = {row["name"]: row for row in pr.get("results", [])}
+    counter = counter_reader("prefetch", pr.get("results", []))
     for name, row in sorted(pr_rows.items()):
         tag = f"prefetch[{name}]"
         if row.get("failed", 0) > 0:
@@ -404,24 +442,26 @@ def check_prefetch(pr, base, tolerance):
 
     lru = pr_rows.get("reversal/predictive/lru")
     hybrid = pr_rows.get("reversal/predictive/hybrid")
+    polluters = "cache.pollution_evictions"
     if not lru or not hybrid:
         fail("prefetch: tight-cache lru/hybrid row pair not found")
     elif hybrid["p99_s"] > lru["p99_s"]:
         fail(f"prefetch[tight-cache]: hybrid p99 {hybrid['p99_s']:.4f}s above "
              f"lru {lru['p99_s']:.4f}s (demand working set not protected)")
-    elif hybrid["pollution_evictions"] > lru["pollution_evictions"]:
-        fail(f"prefetch[tight-cache]: hybrid evicted {hybrid['pollution_evictions']} "
-             f"polluters vs lru {lru['pollution_evictions']}")
+    elif counter(hybrid, polluters) > counter(lru, polluters):
+        fail(f"prefetch[tight-cache]: hybrid evicted {counter(hybrid, polluters)} "
+             f"polluters vs lru {counter(lru, polluters)}")
     else:
         print(f"ok:   prefetch[tight-cache]: hybrid p99 {hybrid['p99_s']:.4f}s "
               f"<= lru {lru['p99_s']:.4f}s, pollution "
-              f"{hybrid['pollution_evictions']} vs {lru['pollution_evictions']}")
+              f"{counter(hybrid, polluters)} vs {counter(lru, polluters)}")
 
 
 def check_scenarios(pr, base, tolerance):
     """Deterministic SLO harness: per-row baselines + same-run invariants."""
     base_rows = {row["name"]: row for row in base.get("results", [])}
     pr_rows = {row["name"]: row for row in pr.get("results", [])}
+    counter = counter_reader("scenarios", pr.get("results", []))
     # Rows with a fault plan are *supposed* to fight for their bytes; every
     # other row must deliver everything.
     faulted = {"teleport_faults"}
@@ -458,7 +498,7 @@ def check_scenarios(pr, base, tolerance):
         if adm.get("failed", 0) > 0:
             fail(f"scenarios[flash_crowd]: {adm['failed']} accesses permanently "
                  f"shed under admission control")
-        if adm.get("demand_shed", 0) == 0:
+        if counter(adm, "agent.demand_shed") == 0:
             fail("scenarios[flash_crowd]: the crowd never tripped admission "
                  "(scenario lost its teeth)")
         if ctl["p99_worst_s"] < 2.0 * adm["p99_worst_s"]:
@@ -468,7 +508,8 @@ def check_scenarios(pr, base, tolerance):
             print(f"ok:   scenarios[flash_crowd]: admission p99 "
                   f"{adm['p99_worst_s']:.3f}s <= {slo:.1f}s SLO, control "
                   f"{ctl['p99_worst_s']:.3f}s ({ctl['p99_worst_s'] / adm['p99_worst_s']:.1f}x), "
-                  f"{adm['demand_shed']} sheds, min delivered {adm['min_delivered']}")
+                  f"{counter(adm, 'agent.demand_shed')} sheds, "
+                  f"min delivered {adm['min_delivered']}")
 
     chaos = pr_rows.get("teleport_faults")
     if not chaos:
@@ -477,15 +518,15 @@ def check_scenarios(pr, base, tolerance):
         if chaos.get("failed", 0) > 0:
             fail(f"scenarios[teleport_faults]: {chaos['failed']} accesses lost "
                  f"permanently under the fault plan")
-        if chaos.get("corruption_detected", 0) == 0:
+        if counter(chaos, "lors.corruption_detected") == 0:
             fail("scenarios[teleport_faults]: injected corruption was never "
                  "detected (checksum path dark)")
         if chaos.get("min_delivered", 0) == 0:
             fail("scenarios[teleport_faults]: a client was starved to zero")
         if all("teleport_faults" not in f for f in HARD_FAILURES):
             print(f"ok:   scenarios[teleport_faults]: 0 lost, "
-                  f"{chaos['corruption_detected']} corruptions detected, "
-                  f"{chaos['failovers']} failovers")
+                  f"{counter(chaos, 'lors.corruption_detected')} corruptions detected, "
+                  f"{counter(chaos, 'lors.failovers')} failovers")
 
     cold = pr_rows.get("site_cache/cold")
     warm = pr_rows.get("site_cache/warm")
@@ -507,34 +548,35 @@ def check_scenarios(pr, base, tolerance):
     if not site or not ctrl:
         fail("scenarios: co_sited site/control row pair not found")
     else:
-        if site["stage_wan_bytes"] >= ctrl["stage_wan_bytes"]:
-            fail(f"scenarios[co_sited]: site WAN staging bytes "
-                 f"{site['stage_wan_bytes']} not below control "
-                 f"{ctrl['stage_wan_bytes']} (coalescing bought nothing)")
+        site_wan = counter(site, "agent.stage_wan_bytes")
+        ctrl_wan = counter(ctrl, "agent.stage_wan_bytes")
+        if site_wan >= ctrl_wan:
+            fail(f"scenarios[co_sited]: site WAN staging bytes {site_wan} not "
+                 f"below control {ctrl_wan} (coalescing bought nothing)")
         if site["p99_worst_s"] > ctrl["p99_worst_s"]:
             fail(f"scenarios[co_sited]: site p99 {site['p99_worst_s']:.3f}s "
                  f"worse than control {ctrl['p99_worst_s']:.3f}s")
-        if site.get("restage_coalesced", 0) == 0:
+        if counter(site, "agent.restage_coalesced") == 0:
             fail("scenarios[co_sited]: no restage was ever coalesced "
                  "(single-flight path dark)")
-        if site.get("site_adopted", 0) == 0:
+        if counter(site, "agent.site_adopted") == 0:
             fail("scenarios[co_sited]: no staging target was adopted from the "
                  "site index (sharing path dark)")
-        leaders = site.get("site_restage_leaders", 0)
-        keys = site.get("site_restage_keys", 0)
+        leaders = counter(site, "site.restage_leaders")
+        keys = counter(site, "site.restage_keys")
         if leaders == 0 or leaders != keys:
             fail(f"scenarios[co_sited]: {leaders} restage leaders for {keys} "
                  f"distinct view sets — the stampede fix demands exactly one "
                  f"WAN staging per hot view set")
-        if ctrl.get("restage_coalesced", 0) != 0 or \
-                ctrl.get("site_restage_leaders", 0) != 0:
+        if counter(ctrl, "agent.restage_coalesced") != 0 or \
+                counter(ctrl, "site.restage_leaders") != 0:
             fail("scenarios[co_sited]: the control row touched the site cache "
                  "(feature-off run is not actually off)")
         if all("co_sited" not in f for f in HARD_FAILURES):
-            saved = 1.0 - site["stage_wan_bytes"] / ctrl["stage_wan_bytes"]
+            saved = 1.0 - site_wan / ctrl_wan
             print(f"ok:   scenarios[co_sited]: {leaders} stagings for {keys} "
-                  f"view sets, WAN {site['stage_wan_bytes']} vs control "
-                  f"{ctrl['stage_wan_bytes']} ({saved:.0%} saved), p99 "
+                  f"view sets, WAN {site_wan} vs control "
+                  f"{ctrl_wan} ({saved:.0%} saved), p99 "
                   f"{site['p99_worst_s']:.3f}s <= {ctrl['p99_worst_s']:.3f}s")
 
     # The coalescing counters are pure virtual-time bookkeeping, so they must
@@ -544,11 +586,11 @@ def check_scenarios(pr, base, tolerance):
         row, ref = pr_rows.get(name), base_rows.get(name)
         if not row or not ref:
             continue
-        for key in ("restaged", "restage_coalesced", "site_adopted",
-                    "stage_wan_bytes", "site_restage_leaders",
-                    "site_restage_keys"):
-            got, want = row.get(key), ref.get(key)
-            if want is not None and got != want:
+        for key in ("agent.restaged", "agent.restage_coalesced",
+                    "agent.site_adopted", "agent.stage_wan_bytes",
+                    "site.restage_leaders", "site.restage_keys"):
+            got, want = counter(row, key), counter(ref, key)
+            if got != want:
                 fail(f"scenarios[{name}]: {key} {got} != baseline {want} "
                      f"(virtual time: must be bit-identical)")
 
@@ -561,15 +603,18 @@ def check_scenarios(pr, base, tolerance):
         if lod.get("deadline_misses", 0) > 0:
             fail(f"scenarios[pda_link]: LOD streaming missed the deadline on "
                  f"{lod['deadline_misses']} accesses (fluidity not held)")
-        if lod.get("lod_coarse_serves", 0) == 0:
+        coarse = counter(lod, "agent.lod_coarse_serves")
+        refined = counter(lod, "agent.lod_refined")
+        refinements = counter(lod, "agent.lod_refinements")
+        if coarse == 0:
             fail("scenarios[pda_link]: LOD streaming never served a coarse tier "
                  "(scenario lost its teeth or the selector is dark)")
-        if lod.get("lod_refined", 0) == 0:
+        if refined == 0:
             fail("scenarios[pda_link]: no background refinement reached full "
                  "resolution (progressive refinement dark)")
-        if lod.get("lod_refined", 0) != lod.get("lod_refinements", 0):
-            fail(f"scenarios[pda_link]: {lod['lod_refinements']} refinements "
-                 f"started but only {lod['lod_refined']} completed")
+        if refined != refinements:
+            fail(f"scenarios[pda_link]: {refinements} refinements "
+                 f"started but only {refined} completed")
         if full.get("deadline_misses", 0) == 0:
             fail("scenarios[pda_link]: the full-resolution control never missed "
                  "the deadline (link not constrained enough to prove anything)")
@@ -578,8 +623,7 @@ def check_scenarios(pr, base, tolerance):
                  f"below the full-only control {full['p99_worst_s']:.3f}s")
         if all("pda_link" not in f for f in HARD_FAILURES):
             print(f"ok:   scenarios[pda_link]: lod 0 misses "
-                  f"({lod['lod_coarse_serves']} coarse, "
-                  f"{lod['lod_refined']}/{lod['lod_refinements']} refined, "
+                  f"({coarse} coarse, {refined}/{refinements} refined, "
                   f"p99 {lod['p99_worst_s']:.3f}s) vs control "
                   f"{full['deadline_misses']} misses, p99 {full['p99_worst_s']:.3f}s")
 

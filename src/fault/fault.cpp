@@ -1,5 +1,6 @@
 #include "fault/fault.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace lon::fault {
@@ -94,14 +95,22 @@ void FaultInjector::arm(const FaultPlan& plan) {
       throw std::invalid_argument("FaultInjector: non-positive disk factor");
     }
     sim_.at(deg.at, [this, depot, deg] {
-      // Capture the rate at fire time so stacked degradations compose.
-      const double original = depot->config().disk_bytes_per_sec;
-      depot->set_disk_rate(original * deg.factor);
+      // Windows may overlap without nesting, so a closing window cannot
+      // restore the rate it saw when it opened: the rate is recomputed from
+      // the depot's pre-window base and the factors still open.
+      SlowDisk& disk = slow_disks_[deg.depot];
+      if (disk.factors.empty()) disk.base_rate = depot->config().disk_bytes_per_sec;
+      disk.factors.push_back(deg.factor);
+      apply_slow_disk(*depot, disk);
       metrics_.disks_degraded.inc();
       const obs::SpanId ev = obs_.trace.instant("fault.disk_degraded", sim_.now());
       obs_.trace.arg(ev, "depot", deg.depot);
       if (deg.duration > 0) {
-        sim_.after(deg.duration, [depot, original] { depot->set_disk_rate(original); });
+        sim_.after(deg.duration, [this, depot, deg] {
+          SlowDisk& open = slow_disks_[deg.depot];
+          open.factors.erase(std::find(open.factors.begin(), open.factors.end(), deg.factor));
+          apply_slow_disk(*depot, open);
+        });
       }
     });
   }
@@ -114,6 +123,12 @@ void FaultInjector::arm(const FaultPlan& plan) {
     fabric_.set_corrupt_hook(
         [this](const std::string& depot, Bytes& data) { maybe_corrupt(depot, data); });
   }
+}
+
+void FaultInjector::apply_slow_disk(ibp::Depot& depot, const SlowDisk& disk) {
+  double rate = disk.base_rate;
+  for (const double factor : disk.factors) rate *= factor;
+  depot.set_disk_rate(rate);
 }
 
 bool FaultInjector::in_drop_window(const std::string& depot) {

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -43,7 +44,9 @@ struct LinkDown {
 };
 
 /// Multiply a depot's disk service rate by `factor` (< 1 = slower) for
-/// `duration`, then restore the original rate.
+/// `duration` (0 = for good). Windows on one depot stack: while any are
+/// open the rate is the rate before the first of them opened times every
+/// open factor, and it returns to exactly that rate when the last closes.
 struct DiskDegrade {
   std::string depot;
   SimTime at = 0;
@@ -132,8 +135,16 @@ class FaultInjector {
     obs::Counter& bits_flipped;
   };
 
+  /// One depot's disk while slow-disk windows are open on it.
+  struct SlowDisk {
+    double base_rate = 0.0;       ///< the rate before the first open window
+    std::vector<double> factors;  ///< factors of the open windows
+  };
+
   [[nodiscard]] bool in_drop_window(const std::string& depot);
   void maybe_corrupt(const std::string& depot, Bytes& data);
+  /// Sets the depot's disk rate to base_rate times every open factor.
+  static void apply_slow_disk(ibp::Depot& depot, const SlowDisk& disk);
 
   sim::Simulator& sim_;
   sim::Network& net_;
@@ -144,6 +155,7 @@ class FaultInjector {
   Rng rng_{0xfa117};
   std::vector<DropWindow> drops_;
   std::vector<CorruptWindow> corruptions_;
+  std::map<std::string, SlowDisk> slow_disks_;  ///< by depot name
   mutable FaultStats stats_view_;
 };
 

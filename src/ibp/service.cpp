@@ -13,14 +13,6 @@ namespace {
 const CapabilitySet kNoCaps{};
 }
 
-const FabricStats& Fabric::stats() const {
-  stats_view_.timeouts = metrics_.timeouts.value();
-  stats_view_.requests_lost = metrics_.requests_lost.value();
-  stats_view_.requests_dropped = metrics_.requests_dropped.value();
-  stats_view_.flows_killed_offline = metrics_.flows_killed_offline.value();
-  return stats_view_;
-}
-
 Depot& Fabric::add_depot(sim::NodeId node, const std::string& name,
                          const DepotConfig& config) {
   if (depots_.contains(name)) throw std::invalid_argument("Fabric: duplicate depot " + name);

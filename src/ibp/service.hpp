@@ -35,13 +35,6 @@ struct FabricTimeouts {
   SimDuration data = 0;     ///< store/load/copy (bulk transfers)
 };
 
-struct FabricStats {
-  std::uint64_t timeouts = 0;            ///< operations that hit their deadline
-  std::uint64_t requests_lost = 0;       ///< sent while the depot was unreachable
-  std::uint64_t requests_dropped = 0;    ///< eaten by the fault-injection hook
-  std::uint64_t flows_killed_offline = 0;///< in-flight flows cancelled by set_offline
-};
-
 class Fabric {
  public:
   Fabric(sim::Simulator& sim, sim::Network& net, obs::Context* obs = nullptr)
@@ -61,9 +54,6 @@ class Fabric {
 
   void set_timeouts(const FabricTimeouts& timeouts) { timeouts_ = timeouts; }
   [[nodiscard]] const FabricTimeouts& timeouts() const { return timeouts_; }
-  /// Robustness counters, read back out of the obs registry (which is the
-  /// single source of truth; this struct is a compatibility view).
-  [[nodiscard]] const FabricStats& stats() const;
 
   /// Fault-injection hook: return true to silently eat a request addressed
   /// to `depot` (the caller sees nothing until its deadline fires).
@@ -218,10 +208,10 @@ class Fabric {
   SimDuration book_disk(Hosted& hosted, std::uint64_t bytes);
 
   struct Metrics {
-    obs::Counter& timeouts;
-    obs::Counter& requests_lost;
-    obs::Counter& requests_dropped;
-    obs::Counter& flows_killed_offline;
+    obs::Counter& timeouts;              ///< operations that hit their deadline
+    obs::Counter& requests_lost;         ///< sent while the depot was unreachable
+    obs::Counter& requests_dropped;      ///< eaten by the fault-injection hook
+    obs::Counter& flows_killed_offline;  ///< in-flight flows cancelled by set_offline
   };
 
   sim::Simulator& sim_;
@@ -231,7 +221,6 @@ class Fabric {
   Metrics metrics_;
   std::unordered_map<std::string, Hosted> depots_;
   FabricTimeouts timeouts_;
-  mutable FabricStats stats_view_;
   DropHook drop_;
   CorruptHook corrupt_;
 };

@@ -28,13 +28,6 @@ bool Directory::is_registered(const std::string& name) const {
                      [&](const Record& r) { return r.name == name; });
 }
 
-const Directory::ProbeStats& Directory::probe_stats() const {
-  probe_stats_view_.sweeps = metrics_.sweeps.value();
-  probe_stats_view_.marked_dead = metrics_.marked_dead.value();
-  probe_stats_view_.marked_alive = metrics_.marked_alive.value();
-  return probe_stats_view_;
-}
-
 std::vector<Candidate> Directory::find(sim::NodeId requester, const Requirements& req) const {
   metrics_.queries.inc();
   std::vector<Candidate> out;

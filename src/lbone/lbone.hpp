@@ -77,14 +77,6 @@ class Directory {
   void start_health_probes(SimDuration interval);
   void stop_health_probes();
 
-  struct ProbeStats {
-    std::uint64_t sweeps = 0;
-    std::uint64_t marked_dead = 0;   ///< alive -> dead flips
-    std::uint64_t marked_alive = 0;  ///< dead -> alive flips
-  };
-  /// Compatibility view over the obs registry counters.
-  [[nodiscard]] const ProbeStats& probe_stats() const;
-
  private:
   struct Record {
     std::string name;
@@ -94,8 +86,8 @@ class Directory {
   struct Metrics {
     obs::Counter& queries;
     obs::Counter& sweeps;
-    obs::Counter& marked_dead;
-    obs::Counter& marked_alive;
+    obs::Counter& marked_dead;   ///< alive -> dead flips
+    obs::Counter& marked_alive;  ///< dead -> alive flips
   };
 
   void probe_sweep();
@@ -108,7 +100,6 @@ class Directory {
   std::vector<Record> records_;
   SimDuration probe_interval_ = 0;  ///< 0 = probes off
   std::optional<sim::TimerId> probe_timer_;
-  mutable ProbeStats probe_stats_view_;
 };
 
 }  // namespace lon::lbone

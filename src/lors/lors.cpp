@@ -20,16 +20,6 @@ SimDuration RetryPolicy::backoff_for(int round, Rng& rng) const {
   return std::max<SimDuration>(1, static_cast<SimDuration>(backoff));
 }
 
-const LorsStats& Lors::stats() const {
-  stats_view_.retries = metrics_.retries.value();
-  stats_view_.failovers = metrics_.failovers.value();
-  stats_view_.corruption_detected = metrics_.corruption_detected.value();
-  stats_view_.repairs_run = metrics_.repairs_run.value();
-  stats_view_.replicas_repaired = metrics_.replicas_repaired.value();
-  stats_view_.replicas_lost = metrics_.replicas_lost.value();
-  return stats_view_;
-}
-
 const char* to_string(LorsStatus status) {
   switch (status) {
     case LorsStatus::kOk:
@@ -238,6 +228,16 @@ void download_extent_try(const std::shared_ptr<DownloadState>& st, std::size_t e
                          std::shared_ptr<std::vector<std::size_t>> order, std::size_t attempt,
                          int round);
 
+/// The one verdict on a landed block, shared by the serial and pooled
+/// paths: the fabric landed exactly the extent's length and, when upload
+/// recorded a CRC32, the bytes now in the slab match it.
+bool block_ok(const DownloadState& st, const exnode::Extent& ext, std::size_t received) {
+  return received == ext.length &&
+         (!ext.checksum.has_value() ||
+          crc32(std::span<const std::uint8_t>(*st.data).subspan(ext.offset, ext.length)) ==
+              *ext.checksum);
+}
+
 void download_stripe_done(const std::shared_ptr<DownloadState>& st,
                           const exnode::Extent& ext) {
   --st->outstanding;
@@ -263,11 +263,7 @@ void download_verify_batch(const std::shared_ptr<DownloadState>& st) {
             });
   st->options.pool->parallel_for(0, batch.size(), [&](std::size_t i) {
     DownloadState::ArrivedBlock& block = batch[i];
-    const exnode::Extent& ext = st->node.extents()[block.extent_index];
-    block.ok = block.received == ext.length &&
-               (!ext.checksum.has_value() ||
-                crc32(std::span<const std::uint8_t>(*st->data)
-                          .subspan(ext.offset, ext.length)) == *ext.checksum);
+    block.ok = block_ok(*st, st->node.extents()[block.extent_index], block.received);
   });
   for (auto& block : batch) {
     const exnode::Extent& ext = st->node.extents()[block.extent_index];
@@ -275,8 +271,8 @@ void download_verify_batch(const std::shared_ptr<DownloadState>& st) {
       ++st->corrupt;
       st->corruption_metric->inc();
       st->trace->instant("lors.corruption", st->sim->now(), st->span);
-      LON_LOG(kDebug, "lors") << "checksum mismatch on extent " << ext.offset
-                              << ", failing over";
+      LON_LOG(kDebug, "lors") << "block at " << ext.offset
+                              << " failed verification, failing over";
       download_extent_try(st, block.extent_index, block.order, block.attempt + 1,
                           block.round);
       continue;
@@ -372,7 +368,7 @@ void download_extent_try(const std::shared_ptr<DownloadState>& st, std::size_t e
         // CPU-bound verification goes to the pool when one is configured:
         // batch this arrival and drain behind a zero-delay barrier so
         // same-instant blocks are checksummed in parallel.
-        if (st->options.pool != nullptr && st->options.verify_checksums) {
+        if (st->options.pool != nullptr) {
           st->verify_batch.push_back(DownloadState::ArrivedBlock{
               extent_index, order, attempt, round, received});
           if (!st->verify_scheduled) {
@@ -382,18 +378,15 @@ void download_extent_try(const std::shared_ptr<DownloadState>& st, std::size_t e
           return;
         }
         // Trust nothing that crossed the network: a depot can serve rotted
-        // bytes with a straight face. A mismatch is a failed fetch — the
-        // rejected block is re-fetched over (or zeroed out of) its slab
-        // region, never delivered.
-        if (st->options.verify_checksums && ext.checksum.has_value() &&
-            (received != ext.length ||
-             crc32(std::span<const std::uint8_t>(*st->data)
-                       .subspan(ext.offset, ext.length)) != *ext.checksum)) {
+        // or short bytes with a straight face. A bad block is a failed fetch
+        // — it is re-fetched over (or zeroed out of) its slab region, never
+        // delivered.
+        if (!block_ok(*st, ext, received)) {
           ++st->corrupt;
           st->corruption_metric->inc();
           st->trace->instant("lors.corruption", st->sim->now(), st->span);
-          LON_LOG(kDebug, "lors") << "checksum mismatch on extent " << ext.offset
-                                  << ", failing over";
+          LON_LOG(kDebug, "lors") << "block at " << ext.offset
+                                  << " failed verification, failing over";
           download_extent_try(st, extent_index, order, attempt + 1, round);
           return;
         }

@@ -89,10 +89,6 @@ struct DownloadOptions {
   sim::TransferOptions net;          ///< per-block transfer options
   int max_concurrent = 8;            ///< in-flight block downloads
   RetryPolicy retry;                 ///< rounds + backoff when every replica fails
-  /// Verify each extent against the CRC32 recorded at upload; a mismatching
-  /// block is treated as a failed fetch (failover to the next replica).
-  /// Extents without a recorded checksum are delivered unverified.
-  bool verify_checksums = true;
   /// When set, checksum verification and result assembly of blocks that land
   /// at the same virtual instant run batched across this pool instead of
   /// serially on the simulator thread. Results are processed in ascending
@@ -174,17 +170,6 @@ struct RepairResult {
   std::size_t extents_dark = 0;
 };
 
-/// Cumulative robustness counters across every operation run through one
-/// Lors instance (the session-level self-healing story).
-struct LorsStats {
-  std::uint64_t retries = 0;             ///< extra download rounds
-  std::uint64_t failovers = 0;           ///< replica failovers within a round
-  std::uint64_t corruption_detected = 0; ///< checksum mismatches caught
-  std::uint64_t repairs_run = 0;         ///< repair_async invocations
-  std::uint64_t replicas_repaired = 0;   ///< replicas re-created by repair
-  std::uint64_t replicas_lost = 0;       ///< dead replicas discovered by repair
-};
-
 class Lors {
  public:
   /// `seed` drives retry-backoff jitter (and nothing else), so runs are
@@ -213,7 +198,10 @@ class Lors {
                     UploadCallback on_done);
 
   using DownloadCallback = std::function<void(DownloadResult)>;
-  /// Reassembles the exNode's object at node `client`.
+  /// Reassembles the exNode's object at node `client`. Every landed block is
+  /// verified: its length must equal the extent's and, when the extent
+  /// records a CRC32 from upload, its checksum must match. A block that
+  /// fails either check is a failed fetch (failover to the next replica).
   void download_async(sim::NodeId client, const exnode::ExNode& node,
                       const DownloadOptions& options, DownloadCallback on_done);
 
@@ -247,18 +235,14 @@ class Lors {
   void repair_async(sim::NodeId client, const exnode::ExNode& node,
                     const RepairOptions& options, RepairCallback on_done);
 
-  /// Robustness counters, read back out of the obs registry (the single
-  /// source of truth; this struct is a compatibility view).
-  [[nodiscard]] const LorsStats& stats() const;
-
  private:
   struct Metrics {
-    obs::Counter& retries;
-    obs::Counter& failovers;
-    obs::Counter& corruption_detected;
-    obs::Counter& repairs_run;
-    obs::Counter& replicas_repaired;
-    obs::Counter& replicas_lost;
+    obs::Counter& retries;              ///< extra download rounds
+    obs::Counter& failovers;            ///< replica failovers within a round
+    obs::Counter& corruption_detected;  ///< blocks that failed verification
+    obs::Counter& repairs_run;          ///< repair_async invocations
+    obs::Counter& replicas_repaired;    ///< replicas re-created by repair
+    obs::Counter& replicas_lost;        ///< dead replicas discovered by repair
   };
 
   sim::Simulator& sim_;
@@ -268,7 +252,6 @@ class Lors {
   obs::Context& obs_;
   obs::Scope scope_;
   Metrics metrics_;
-  mutable LorsStats stats_view_;
 };
 
 }  // namespace lon::lors

@@ -137,6 +137,13 @@ std::uint64_t Registry::counter_total(const std::string& name) const {
   return total;
 }
 
+std::map<std::string, std::uint64_t> Registry::counter_totals() const {
+  std::lock_guard lock(mutex_);
+  std::map<std::string, std::uint64_t> out;
+  for (const auto& [key, c] : counters_) out[key.first] += c.value();
+  return out;
+}
+
 std::vector<std::pair<std::string, const LatencyHistogram*>> Registry::histograms_named(
     const std::string& name) const {
   std::lock_guard lock(mutex_);

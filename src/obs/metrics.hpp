@@ -6,8 +6,9 @@
 // pipeline instrumentation is what made WAN visualization tunable in the
 // first place (Bethel et al., PAPERS.md). Instead of every layer keeping its
 // own ad-hoc stats struct that each bench re-aggregates by hand, all layers
-// increment metrics in one registry; the legacy stats() structs are thin
-// views over it and the benches dump it as flat JSONL.
+// increment metrics in one registry, and a counter's registry name is its
+// only spelling: tests read it by that name, the benches print every counter
+// under it, and ci/perf_gate.py selects it by it.
 //
 // Metrics are identified by (name, labels). `name` is a dotted path
 // ("lors.retries"); `labels` is a pre-rendered "key=value,key=value" string.
@@ -159,6 +160,10 @@ class Registry {
 
   /// Sum of one counter name across every label set (0 when absent).
   [[nodiscard]] std::uint64_t counter_total(const std::string& name) const;
+  /// counter_total of every counter name, sorted by name. A counter that was
+  /// created but never incremented appears with 0; gauges and histograms do
+  /// not appear.
+  [[nodiscard]] std::map<std::string, std::uint64_t> counter_totals() const;
 
   /// Every label set under which `name` exists as a histogram, in label
   /// order — how per-instance latencies (e.g. one session.total_ns per

@@ -37,7 +37,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   result.script_duration = run.duration;
   result.db_compressed_bytes = run.db_compressed_bytes;
   result.db_uncompressed_bytes = run.db_uncompressed_bytes;
-  result.fault_stats = run.fault_stats;
   result.obs = std::move(run.obs);
   return result;
 }

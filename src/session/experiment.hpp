@@ -142,7 +142,6 @@ struct ExperimentResult {
   double db_compressed_bytes = 0;      ///< published database size
   double db_uncompressed_bytes = 0;
   std::size_t failed_accesses = 0;     ///< view requests that never delivered
-  fault::FaultStats fault_stats;       ///< what the injector actually did
   /// The run's private observability context: every component reported into
   /// `obs->metrics`, and `obs->trace` (enabled for experiments) holds the
   /// full span tree — export it with write_chrome_trace / write_jsonl.

@@ -70,11 +70,10 @@ struct ScenarioResult {
   double db_compressed_bytes = 0;  ///< published (full-resolution) database size
   double db_uncompressed_bytes = 0;
 
-  // Simulator-core cost counters (deterministic; the scale gate matches
-  // them exactly). Also exported through the obs registry as
-  // sim.events_executed / net.reallocs / net.realloc_flows_touched.
+  // Simulator-core cost counters (deterministic). The registry holds the
+  // same values as sim.events_executed / net.reallocs /
+  // net.realloc_flows_touched, next to sim.events_scheduled.
   std::uint64_t sim_events = 0;     ///< events executed
-  std::uint64_t sim_scheduled = 0;  ///< events scheduled (incl. cancelled)
   std::uint64_t net_reallocs = 0;   ///< max-min solves run
   std::uint64_t net_realloc_flows_touched = 0;  ///< flows re-rated, summed
   double wall_s = 0.0;  ///< host wall-clock of the run — NOT deterministic

@@ -232,16 +232,4 @@ void DvsServer::report_hot_async(sim::NodeId from, const lightfield::ViewSetId& 
   });
 }
 
-const DvsServer::Stats& DvsServer::stats() const {
-  stats_view_.queries = metrics_.queries.value();
-  stats_view_.hits = metrics_.hits.value();
-  stats_view_.misses = metrics_.misses.value();
-  stats_view_.forwarded = metrics_.forwarded.value();
-  stats_view_.updates = metrics_.updates.value();
-  stats_view_.levels_visited = metrics_.levels_visited.value();
-  stats_view_.generation_shed = metrics_.generation_shed.value();
-  stats_view_.hot_reports = metrics_.hot_reports.value();
-  return stats_view_;
-}
-
 }  // namespace lon::streaming

@@ -89,17 +89,6 @@ struct DvsConfig {
 
 class DvsServer {
  public:
-  struct Stats {
-    std::uint64_t queries = 0;
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;          ///< not found and no generation requested
-    std::uint64_t forwarded = 0;       ///< sent to the server-agent table
-    std::uint64_t updates = 0;
-    std::uint64_t levels_visited = 0;  ///< cumulative hops over all queries
-    std::uint64_t generation_shed = 0; ///< forwarded queries the generator shed
-    std::uint64_t hot_reports = 0;     ///< demand-pressure reports relayed
-  };
-
   DvsServer(sim::Simulator& sim, sim::Network& net, sim::NodeId node,
             const lightfield::SphericalLattice& lattice, DvsConfig config = {},
             obs::Context* obs = nullptr);
@@ -140,19 +129,16 @@ class DvsServer {
   /// which may augment the view set's replicas.
   void report_hot_async(sim::NodeId from, const lightfield::ViewSetId& id);
 
-  /// Compatibility view over the obs registry counters.
-  [[nodiscard]] const Stats& stats() const;
-
  private:
   struct Metrics {
     obs::Counter& queries;
     obs::Counter& hits;
-    obs::Counter& misses;
-    obs::Counter& forwarded;
+    obs::Counter& misses;           ///< not found and no generation requested
+    obs::Counter& forwarded;        ///< sent to the server-agent table
     obs::Counter& updates;
-    obs::Counter& levels_visited;
-    obs::Counter& generation_shed;
-    obs::Counter& hot_reports;
+    obs::Counter& levels_visited;   ///< cumulative hops over all queries
+    obs::Counter& generation_shed;  ///< forwarded queries the generator shed
+    obs::Counter& hot_reports;      ///< demand-pressure reports relayed
   };
 
   struct Region {
@@ -204,7 +190,6 @@ class DvsServer {
   std::vector<Shard> shards_;
   int depth_ = 1;  ///< max tree depth over all shards
   GeneratorService* agent_ = nullptr;
-  mutable Stats stats_view_;
 };
 
 }  // namespace lon::streaming

@@ -196,23 +196,6 @@ void SiteCache::finish_restage(const lightfield::ViewSetId& id, int lod, bool ok
   }
 }
 
-const SiteCache::Stats& SiteCache::stats() const {
-  stats_view_.lookups = metrics_.lookups.value();
-  stats_view_.hits = metrics_.hits.value();
-  stats_view_.misses = metrics_.misses.value();
-  stats_view_.publishes = metrics_.publishes.value();
-  stats_view_.invalidations = metrics_.invalidations.value();
-  stats_view_.expirations = metrics_.expirations.value();
-  stats_view_.evictions = metrics_.evictions.value();
-  stats_view_.restage_leaders = metrics_.restage_leaders.value();
-  stats_view_.restage_joins = metrics_.restage_joins.value();
-  stats_view_.restage_keys = metrics_.restage_keys.value();
-  std::lock_guard lock(mutex_);
-  stats_view_.entries = entries_.size();
-  stats_view_.bytes = bytes_;
-  return stats_view_;
-}
-
 std::size_t SiteCache::size() const {
   std::lock_guard lock(mutex_);
   return entries_.size();

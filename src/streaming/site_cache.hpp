@@ -55,22 +55,6 @@ struct SiteCacheConfig {
 
 class SiteCache {
  public:
-  /// Compatibility view over the obs registry counters (site.*).
-  struct Stats {
-    std::uint64_t lookups = 0;
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t publishes = 0;
-    std::uint64_t invalidations = 0;   ///< explicit invalidate() fanouts
-    std::uint64_t expirations = 0;     ///< lease-expiry fanouts (timer or lazy)
-    std::uint64_t evictions = 0;       ///< capacity evictions (no fanout)
-    std::uint64_t restage_leaders = 0; ///< begin_restage calls that led
-    std::uint64_t restage_joins = 0;   ///< begin_restage calls that joined
-    std::uint64_t restage_keys = 0;    ///< distinct (id, lod) keys ever restaged
-    std::size_t entries = 0;           ///< resident index entries now
-    std::uint64_t bytes = 0;           ///< tracked payload bytes now
-  };
-
   /// Fanout on expiry/invalidation: every co-sited agent drops its own
   /// derived state (staged entry, cached exNode) for (id, lod).
   using InvalidateListener =
@@ -111,7 +95,6 @@ class SiteCache {
   void finish_restage(const lightfield::ViewSetId& id, int lod, bool ok,
                       const exnode::ExNode& exnode);
 
-  [[nodiscard]] const Stats& stats() const;
   [[nodiscard]] std::size_t size() const;
 
  private:
@@ -144,14 +127,14 @@ class SiteCache {
     obs::Counter& hits;
     obs::Counter& misses;
     obs::Counter& publishes;
-    obs::Counter& invalidations;
-    obs::Counter& expirations;
-    obs::Counter& evictions;
-    obs::Counter& restage_leaders;
-    obs::Counter& restage_joins;
-    obs::Counter& restage_keys;
-    obs::Gauge& entries;
-    obs::Gauge& bytes;
+    obs::Counter& invalidations;    ///< explicit invalidate() fanouts
+    obs::Counter& expirations;      ///< lease-expiry fanouts (timer or lazy)
+    obs::Counter& evictions;        ///< capacity evictions (no fanout)
+    obs::Counter& restage_leaders;  ///< begin_restage calls that led
+    obs::Counter& restage_joins;    ///< begin_restage calls that joined
+    obs::Counter& restage_keys;     ///< distinct (id, lod) keys ever restaged
+    obs::Gauge& entries;            ///< resident index entries now
+    obs::Gauge& bytes;              ///< tracked payload bytes now
   };
 
   /// Removes `it` from the index under mutex_ (caller holds it).
@@ -177,8 +160,6 @@ class SiteCache {
   std::unordered_set<Key, KeyHash> restaged_keys_;
   std::unordered_map<std::size_t, InvalidateListener> listeners_;
   std::size_t next_listener_ = 0;
-
-  mutable Stats stats_view_;
 };
 
 }  // namespace lon::streaming

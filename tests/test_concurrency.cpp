@@ -2,7 +2,8 @@
 //
 // Covers, in one place:
 //   - pooled LoRS stripe download is byte-for-byte AND virtual-time identical
-//     to the serial path (the determinism contract from DESIGN.md section 10);
+//     to the serial path, on clean, corrupt and short blocks alike (the
+//     determinism contract from DESIGN.md section 10);
 //   - the decompress pipeline drains cleanly: full overlap, partial stripes,
 //     stripes that bypassed on_stripe (retried blocks), corrupt chunks, and
 //     non-chunked payloads all resolve to the documented outcomes;
@@ -17,8 +18,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <optional>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "compress/lfz.hpp"
@@ -106,48 +109,94 @@ Bytes make_payload(std::size_t size) {
   return data;
 }
 
+exnode::ExNode without_checksums(const exnode::ExNode& node) {
+  exnode::ExNode out(node.length());
+  for (exnode::Extent extent : node.extents()) {
+    extent.checksum.reset();
+    out.add_extent(std::move(extent));
+  }
+  return out;
+}
+
+void expect_same_result(const lors::DownloadResult& a, const lors::DownloadResult& b) {
+  EXPECT_EQ(a.status, b.status);
+  EXPECT_EQ(*a.data, *b.data);
+  EXPECT_EQ(a.blocks_total, b.blocks_total);
+  EXPECT_EQ(a.blocks_failed, b.blocks_failed);
+  EXPECT_EQ(a.replica_failovers, b.replica_failovers);
+  EXPECT_EQ(a.corruption_detected, b.corruption_detected);
+  EXPECT_EQ(a.retries, b.retries);
+  EXPECT_EQ(a.copied_bytes, b.copied_bytes);
+}
+
+/// One input of the pooled-vs-serial comparison: what depot ca-0 does to
+/// every block it serves, and whether the exNode keeps its checksums.
+struct LoadFault {
+  const char* name;
+  std::function<void(Bytes&)> on_ca0;  ///< null = a clean depot
+  bool strip_checksums = false;
+};
+
 TEST(ParallelDownload, PooledVerificationMatchesSerialExactly) {
   const Bytes data = make_payload(777'777);  // not block-aligned on purpose
   ThreadPool pool(4);
-
-  StripedHarness serial;
-  StripedHarness pooled;
-  const exnode::ExNode node_serial = serial.upload(data, 64 * 1024, 2);
-  const exnode::ExNode node_pooled = pooled.upload(data, 64 * 1024, 2);
-
-  lors::DownloadOptions serial_opts;
-  serial_opts.verify_checksums = true;
-  const auto [serial_result, serial_time] = serial.download(node_serial, serial_opts);
-
-  lors::DownloadOptions pooled_opts;
-  pooled_opts.verify_checksums = true;
-  pooled_opts.pool = &pool;
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> stripes;
-  pooled_opts.on_stripe = [&](const lors::StripeEvent& event) {
-    stripes.emplace_back(event.offset, event.length);
+  const auto flip = [](Bytes& b) { b[b.size() / 2] ^= 0x10; };
+  const auto shorten = [](Bytes& b) { b.pop_back(); };
+  const std::vector<LoadFault> inputs = {
+      {"clean", nullptr},
+      {"flipped bit", flip},
+      {"one byte short", shorten},
+      {"one byte short, no checksums", shorten, /*strip_checksums=*/true},
   };
-  const auto [pooled_result, pooled_time] = pooled.download(node_pooled, pooled_opts);
 
-  ASSERT_EQ(serial_result.status, lors::LorsStatus::kOk);
-  ASSERT_EQ(pooled_result.status, lors::LorsStatus::kOk);
-  // Byte-for-byte identical assembly...
-  EXPECT_EQ(*pooled_result.data, data);
-  EXPECT_EQ(*pooled_result.data, *serial_result.data);
-  // ...same counters, and the same virtual completion time: the pool only
-  // moves real CPU work, never virtual time.
-  EXPECT_EQ(pooled_result.blocks_total, serial_result.blocks_total);
-  EXPECT_EQ(pooled_result.replica_failovers, serial_result.replica_failovers);
-  EXPECT_EQ(pooled_time, serial_time);
+  for (const LoadFault& input : inputs) {
+    SCOPED_TRACE(input.name);
+    StripedHarness serial;
+    StripedHarness pooled;
+    exnode::ExNode node_serial = serial.upload(data, 64 * 1024, 2);
+    exnode::ExNode node_pooled = pooled.upload(data, 64 * 1024, 2);
+    if (input.strip_checksums) {
+      node_serial = without_checksums(node_serial);
+      node_pooled = without_checksums(node_pooled);
+    }
+    if (input.on_ca0) {
+      const auto hook = [&input](const std::string& depot, Bytes& b) {
+        if (depot == "ca-0") input.on_ca0(b);
+      };
+      serial.fabric.set_corrupt_hook(hook);
+      pooled.fabric.set_corrupt_hook(hook);
+    }
 
-  // The stripe events cover the payload exactly once, no gaps, no overlap.
-  std::sort(stripes.begin(), stripes.end());
-  ASSERT_EQ(stripes.size(), pooled_result.blocks_total);
-  std::uint64_t expected_offset = 0;
-  for (const auto& [offset, length] : stripes) {
-    EXPECT_EQ(offset, expected_offset);
-    expected_offset = offset + length;
+    const auto [serial_result, serial_time] = serial.download(node_serial, {});
+
+    lors::DownloadOptions pooled_opts;
+    pooled_opts.pool = &pool;
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> stripes;
+    pooled_opts.on_stripe = [&](const lors::StripeEvent& event) {
+      stripes.emplace_back(event.offset, event.length);
+    };
+    const auto [pooled_result, pooled_time] = pooled.download(node_pooled, pooled_opts);
+
+    // The same verdict on every block, so the same result, bytes and
+    // counters, and the same virtual completion time: the pool only moves
+    // real CPU work, never virtual time.
+    expect_same_result(pooled_result, serial_result);
+    EXPECT_EQ(pooled_time, serial_time);
+    // Every bad block from ca-0 failed over to its clean second replica.
+    EXPECT_EQ(serial_result.status, lors::LorsStatus::kOk);
+    EXPECT_EQ(*serial_result.data, data);
+    EXPECT_EQ(serial_result.corruption_detected > 0, input.on_ca0 != nullptr);
+
+    // The stripe events cover the payload exactly once, no gaps, no overlap.
+    std::sort(stripes.begin(), stripes.end());
+    ASSERT_EQ(stripes.size(), pooled_result.blocks_total);
+    std::uint64_t expected_offset = 0;
+    for (const auto& [offset, length] : stripes) {
+      EXPECT_EQ(offset, expected_offset);
+      expected_offset = offset + length;
+    }
+    EXPECT_EQ(expected_offset, data.size());
   }
-  EXPECT_EQ(expected_offset, data.size());
 }
 
 // --- decompress pipeline -----------------------------------------------------------

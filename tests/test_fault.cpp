@@ -27,6 +27,11 @@ namespace {
 
 using lightfield::ViewSetId;
 
+/// Run-wide total of one registry counter, summed over every instance.
+std::uint64_t total(const obs::Context& obs, const std::string& name) {
+  return obs.metrics.counter_total(name);
+}
+
 Bytes pattern(std::size_t n) {
   Bytes data(n);
   for (std::size_t i = 0; i < n; ++i) data[i] = static_cast<std::uint8_t>(i * 31 + 7);
@@ -102,7 +107,7 @@ TEST(NetworkPartition, DownLinkPartitionsAndStallsFlows) {
 
 class FabricFaultTest : public ::testing::Test {
  protected:
-  FabricFaultTest() : net_(sim_), fabric_(sim_, net_) {
+  FabricFaultTest() : net_(sim_), fabric_(sim_, net_, &obs_) {
     client_ = net_.add_node("client");
     depot_node_ = net_.add_node("depot-host");
     link_ = net_.add_link(client_, depot_node_, {100e6, 5 * kMillisecond, 0.0});
@@ -134,6 +139,7 @@ class FabricFaultTest : public ::testing::Test {
   }
 
   sim::Simulator sim_;
+  obs::Context obs_;
   sim::Network net_;
   ibp::Fabric fabric_;
   sim::NodeId client_ = 0, depot_node_ = 0;
@@ -155,7 +161,7 @@ TEST_F(FabricFaultTest, OfflineFailsFastButPartitionTimesOut) {
   ASSERT_TRUE(status.has_value());
   EXPECT_EQ(*status, ibp::IbpStatus::kRefused);
   EXPECT_LT(sim_.now() - t0, 100 * kMillisecond);
-  EXPECT_EQ(fabric_.stats().timeouts, 0u);
+  EXPECT_EQ(total(obs_, "ibp.timeouts"), 0u);
   fabric_.set_offline("d0", false);
 
   // A partitioned depot is silent: the request is lost and only the
@@ -169,8 +175,8 @@ TEST_F(FabricFaultTest, OfflineFailsFastButPartitionTimesOut) {
   ASSERT_TRUE(status.has_value());
   EXPECT_EQ(*status, ibp::IbpStatus::kTimeout);
   EXPECT_EQ(sim_.now(), t1 + 2 * kSecond);
-  EXPECT_EQ(fabric_.stats().timeouts, 1u);
-  EXPECT_EQ(fabric_.stats().requests_lost, 1u);
+  EXPECT_EQ(total(obs_, "ibp.timeouts"), 1u);
+  EXPECT_EQ(total(obs_, "ibp.requests_lost"), 1u);
 }
 
 TEST_F(FabricFaultTest, SetOfflineCancelsInFlightFlows) {
@@ -187,7 +193,7 @@ TEST_F(FabricFaultTest, SetOfflineCancelsInFlightFlows) {
 
   ASSERT_TRUE(status.has_value());
   EXPECT_EQ(*status, ibp::IbpStatus::kRefused);
-  EXPECT_GE(fabric_.stats().flows_killed_offline, 1u);
+  EXPECT_GE(total(obs_, "ibp.flows_killed_offline"), 1u);
 }
 
 TEST_F(FabricFaultTest, DroppedRequestsOnlySurfaceAtTheDeadline) {
@@ -203,14 +209,15 @@ TEST_F(FabricFaultTest, DroppedRequestsOnlySurfaceAtTheDeadline) {
   ASSERT_TRUE(status.has_value());
   EXPECT_EQ(*status, ibp::IbpStatus::kTimeout);
   EXPECT_EQ(sim_.now(), t0 + kSecond);
-  EXPECT_EQ(fabric_.stats().requests_dropped, 1u);
+  EXPECT_EQ(total(obs_, "ibp.requests_dropped"), 1u);
 }
 
 // --- L-Bone: offline cross-check + health probes ------------------------------
 
 class LboneFaultTest : public ::testing::Test {
  protected:
-  LboneFaultTest() : net_(sim_), fabric_(sim_, net_), directory_(net_, fabric_) {
+  LboneFaultTest()
+      : net_(sim_), fabric_(sim_, net_, &obs_), directory_(net_, fabric_, &obs_) {
     client_ = net_.add_node("client");
     const sim::NodeId hub = net_.add_node("hub");
     net_.add_link(client_, hub, {1e9, kMillisecond, 0.0});
@@ -223,6 +230,7 @@ class LboneFaultTest : public ::testing::Test {
   }
 
   sim::Simulator sim_;
+  obs::Context obs_;
   sim::Network net_;
   ibp::Fabric fabric_;
   lbone::Directory directory_;
@@ -243,26 +251,27 @@ TEST_F(LboneFaultTest, HealthProbesTrackCrashAndRestart) {
   fabric_.set_offline("d0", true);
   // Manually mark it alive-in-directory to prove the sweep flips it back.
   sim_.run_until(1500 * kMillisecond);
-  EXPECT_EQ(directory_.probe_stats().sweeps, 1u);
-  EXPECT_EQ(directory_.probe_stats().marked_dead, 1u);
+  EXPECT_EQ(total(obs_, "lbone.sweeps"), 1u);
+  EXPECT_EQ(total(obs_, "lbone.marked_dead"), 1u);
 
   fabric_.set_offline("d0", false);
   sim_.run_until(2500 * kMillisecond);
-  EXPECT_EQ(directory_.probe_stats().marked_alive, 1u);
+  EXPECT_EQ(total(obs_, "lbone.marked_alive"), 1u);
   const auto found = directory_.find(client_, {.count = 2});
   EXPECT_EQ(found.size(), 2u);
 
   directory_.stop_health_probes();
-  const auto sweeps = directory_.probe_stats().sweeps;
+  const auto sweeps = total(obs_, "lbone.sweeps");
   sim_.run_until(10 * kSecond);
-  EXPECT_EQ(directory_.probe_stats().sweeps, sweeps);  // daemon actually stopped
+  EXPECT_EQ(total(obs_, "lbone.sweeps"), sweeps);  // daemon actually stopped
 }
 
 // --- LoRS: checksums, retry, repair -------------------------------------------
 
 class LorsFaultTest : public ::testing::Test {
  protected:
-  LorsFaultTest() : net_(sim_), fabric_(sim_, net_), lors_(sim_, net_, fabric_) {
+  LorsFaultTest()
+      : net_(sim_), fabric_(sim_, net_, &obs_), lors_(sim_, net_, fabric_, 0x10f5, &obs_) {
     client_ = net_.add_node("client");
     const sim::NodeId hub = net_.add_node("hub");
     net_.add_link(client_, hub, {1e9, kMillisecond, 0.0});
@@ -304,6 +313,7 @@ class LorsFaultTest : public ::testing::Test {
   }
 
   sim::Simulator sim_;
+  obs::Context obs_;
   sim::Network net_;
   ibp::Fabric fabric_;
   lors::Lors lors_;
@@ -340,7 +350,7 @@ TEST_F(LorsFaultTest, InjectedCorruptionIsAlwaysDetectedNeverDelivered) {
   for (std::size_t i = 0; i < result.data->size(); ++i) {
     EXPECT_EQ((*result.data)[i], 0) << "corrupt byte delivered at offset " << i;
   }
-  EXPECT_GE(lors_.stats().corruption_detected, result.blocks_total);
+  EXPECT_GE(total(obs_, "lors.corruption_detected"), result.blocks_total);
 }
 
 TEST_F(LorsFaultTest, CorruptReplicaFailsOverToACleanOne) {
@@ -374,8 +384,8 @@ TEST_F(LorsFaultTest, RetryRoundsOutlastATransientPartition) {
   EXPECT_EQ(result.status, lors::LorsStatus::kOk);
   EXPECT_EQ(*result.data, data);
   EXPECT_GE(result.retries, 1u);
-  EXPECT_GE(fabric_.stats().timeouts, 1u);
-  EXPECT_GE(fabric_.stats().requests_lost, 1u);
+  EXPECT_GE(total(obs_, "ibp.timeouts"), 1u);
+  EXPECT_GE(total(obs_, "ibp.requests_lost"), 1u);
 }
 
 TEST_F(LorsFaultTest, RepairRestoresFullReplicaCountAfterACrash) {
@@ -472,6 +482,37 @@ TEST_F(LorsFaultTest, InjectorRunsItsPlanOnTheVirtualClock) {
   EXPECT_EQ(injector.stats().disks_degraded, 1u);
 }
 
+TEST_F(LorsFaultTest, InjectorStacksSlowDiskWindowsAndRestoresTheBaseRate) {
+  fault::FaultInjector injector(sim_, net_, fabric_);
+  fault::FaultPlan plan;
+  // d1: two windows that overlap without nesting.
+  plan.degradations.push_back(
+      {.depot = "d1", .at = kSecond, .duration = 3 * kSecond, .factor = 0.5});
+  plan.degradations.push_back(
+      {.depot = "d1", .at = 2 * kSecond, .duration = 10 * kSecond, .factor = 0.5});
+  // d2: a short window nested inside a long one.
+  plan.degradations.push_back(
+      {.depot = "d2", .at = kSecond, .duration = 10 * kSecond, .factor = 0.5});
+  plan.degradations.push_back(
+      {.depot = "d2", .at = 2 * kSecond, .duration = 2 * kSecond, .factor = 0.25});
+  injector.arm(plan);
+
+  const auto rate = [&](const char* depot) {
+    return fabric_.find_depot(depot)->config().disk_bytes_per_sec;
+  };
+  const double d1 = rate("d1");
+  const double d2 = rate("d2");
+  sim_.run_until(3 * kSecond);
+  EXPECT_EQ(rate("d1"), d1 * 0.5 * 0.5);
+  EXPECT_EQ(rate("d2"), d2 * 0.5 * 0.25);
+  sim_.run_until(5 * kSecond);  // the first of each pair has closed
+  EXPECT_EQ(rate("d1"), d1 * 0.5);
+  EXPECT_EQ(rate("d2"), d2 * 0.5);
+  sim_.run();
+  EXPECT_EQ(rate("d1"), d1);
+  EXPECT_EQ(rate("d2"), d2);
+}
+
 TEST_F(LorsFaultTest, InjectorDropWindowInstallsDefaultDeadlines) {
   const Bytes data = pattern(64);
   const exnode::ExNode node = upload(data, 1, 4096);
@@ -510,7 +551,7 @@ class ChaosTest : public ::testing::Test {
   ChaosTest()
       : net_(sim_),
         fabric_(sim_, net_),
-        lors_(sim_, net_, fabric_),
+        lors_(sim_, net_, fabric_, 0x10f5, &obs_),
         source_(std::make_shared<lightfield::ProceduralSource>(config())) {
     lan_switch_ = net_.add_node("lan-switch");
     agent_node_ = net_.add_node("agent");
@@ -576,6 +617,7 @@ class ChaosTest : public ::testing::Test {
   }
 
   sim::Simulator sim_;
+  obs::Context obs_;
   sim::Network net_;
   ibp::Fabric fabric_;
   lors::Lors lors_;
@@ -653,7 +695,7 @@ TEST_F(ChaosTest, BrowsingSurvivesCrashesLeaseExpiryAndCorruption) {
   EXPECT_GE(injector.stats().crashes, 1u);
   EXPECT_GE(injector.stats().restarts, 1u);
   EXPECT_GE(injector.stats().bits_flipped, 1u);
-  EXPECT_GE(lors_.stats().corruption_detected, 1u);
+  EXPECT_GE(total(obs_, "lors.corruption_detected"), 1u);
   std::uint64_t lan_expired = 0;
   for (const auto& name : lan_depots_) {
     lan_expired += fabric_.find_depot(name)->stats().leases_expired;

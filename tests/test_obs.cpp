@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -55,6 +56,27 @@ TEST(ObsRegistry, ScopesMintDistinctInstanceLabels) {
   EXPECT_EQ(first.counter("agent.requests").value(), 2u);
   EXPECT_EQ(second.counter("agent.requests").value(), 5u);
   EXPECT_EQ(registry.counter_total("agent.requests"), 7u);
+}
+
+TEST(ObsRegistry, CounterTotalsSumInstancesAndLeaveOutOtherMetrics) {
+  obs::Registry registry;
+  obs::Scope first = registry.scope("site");
+  obs::Scope second = registry.scope("site");
+  first.counter("site.hits").inc(2);
+  second.counter("site.hits").inc(5);
+  (void)first.counter("site.evictions");  // registered, never incremented
+  first.gauge("site.bytes").set(300.0);
+  (void)second.histogram("site.lookup_ns");
+  registry.counter("agent.requests").inc(4);
+
+  const std::map<std::string, std::uint64_t> totals = registry.counter_totals();
+  const std::map<std::string, std::uint64_t> want = {
+      {"agent.requests", 4}, {"site.evictions", 0}, {"site.hits", 7}};
+  EXPECT_EQ(totals, want);
+  for (const auto& [name, total] : totals) {
+    EXPECT_EQ(total, registry.counter_total(name)) << name;
+  }
+  EXPECT_TRUE(obs::Registry().counter_totals().empty());
 }
 
 TEST(ObsRegistry, ReferencesStayValidAsTheRegistryGrows) {

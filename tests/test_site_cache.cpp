@@ -25,8 +25,11 @@ namespace {
 using lightfield::ViewSetId;
 
 /// Run-wide total of one registry counter, summed over every instance.
+std::uint64_t total(const obs::Context& obs, const std::string& name) {
+  return obs.metrics.counter_total(name);
+}
 std::uint64_t total(const std::shared_ptr<obs::Context>& obs, const std::string& name) {
-  return obs->metrics.counter_total(name);
+  return total(*obs, name);
 }
 
 lightfield::LatticeConfig small_config(std::size_t resolution = 24) {
@@ -61,6 +64,12 @@ class SiteCacheTest : public ::testing::Test {
     return std::make_unique<SiteCache>(sim_, cfg, &obs_);
   }
 
+  /// The test's one SiteCache's gauge (-1 when it was never registered).
+  double gauge(const std::string& name) const {
+    const obs::Gauge* g = obs_.metrics.find_gauge(name, "component=site,inst=0");
+    return g != nullptr ? g->value() : -1.0;
+  }
+
   sim::Simulator sim_;
   obs::Context obs_;
 };
@@ -87,16 +96,16 @@ TEST_F(SiteCacheTest, SingleFlightCoalescesToOneLeader) {
   site.finish_restage(id, 0, true, fake_exnode(id));
   EXPECT_EQ(follower_done, 4);
   EXPECT_TRUE(follower_ok);
-  EXPECT_EQ(site.stats().restage_leaders, 1u);
-  EXPECT_EQ(site.stats().restage_joins, 4u);
-  EXPECT_EQ(site.stats().restage_keys, 1u);
+  EXPECT_EQ(total(obs_, "site.restage_leaders"), 1u);
+  EXPECT_EQ(total(obs_, "site.restage_joins"), 4u);
+  EXPECT_EQ(total(obs_, "site.restage_keys"), 1u);
 
   // The flight is gone: a later restage of the same key leads afresh, but
   // the key was already counted — restage_keys stays the distinct count.
   EXPECT_TRUE(site.begin_restage(id, 0, nullptr));
   site.finish_restage(id, 0, true, fake_exnode(id));
-  EXPECT_EQ(site.stats().restage_leaders, 2u);
-  EXPECT_EQ(site.stats().restage_keys, 1u);
+  EXPECT_EQ(total(obs_, "site.restage_leaders"), 2u);
+  EXPECT_EQ(total(obs_, "site.restage_keys"), 1u);
 }
 
 TEST_F(SiteCacheTest, DistinctLodTiersAreSeparateFlights) {
@@ -106,7 +115,7 @@ TEST_F(SiteCacheTest, DistinctLodTiersAreSeparateFlights) {
   EXPECT_TRUE(site.begin_restage(id, 0, nullptr));
   EXPECT_TRUE(site.begin_restage(id, 2, nullptr));  // other tier, own flight
   EXPECT_FALSE(site.begin_restage(id, 2, [](bool, const exnode::ExNode&) {}));
-  EXPECT_EQ(site.stats().restage_keys, 2u);
+  EXPECT_EQ(total(obs_, "site.restage_keys"), 2u);
 }
 
 TEST_F(SiteCacheTest, FailedRestageResolvesFollowersWithFailure) {
@@ -141,7 +150,7 @@ TEST_F(SiteCacheTest, LookupDropsExpiredLeaseLazilyAndFansOut) {
   EXPECT_FALSE(site.lookup(id).has_value());
   ASSERT_EQ(invalidated.size(), 1u);
   EXPECT_EQ(invalidated[0], id);
-  EXPECT_EQ(site.stats().expirations, 1u);
+  EXPECT_EQ(total(obs_, "site.expirations"), 1u);
   EXPECT_EQ(site.size(), 0u);
 }
 
@@ -171,7 +180,7 @@ TEST_F(SiteCacheTest, ExpiryTimerInvalidatesEveryListenerAtomically) {
   // no window in which one still trusts the dead replica.
   EXPECT_EQ(seen_a, expiry);
   EXPECT_EQ(seen_b, expiry);
-  EXPECT_EQ(site.stats().expirations, 1u);
+  EXPECT_EQ(total(obs_, "site.expirations"), 1u);
 }
 
 TEST_F(SiteCacheTest, RepublishSupersedesTheOlderExpiryTimer) {
@@ -191,7 +200,7 @@ TEST_F(SiteCacheTest, RepublishSupersedesTheOlderExpiryTimer) {
   sim_.run();
   EXPECT_TRUE(live_after_first_expiry);
   EXPECT_EQ(fanouts, 1);  // only the real (second) expiry fanned out
-  EXPECT_EQ(site.stats().expirations, 1u);
+  EXPECT_EQ(total(obs_, "site.expirations"), 1u);
 }
 
 TEST_F(SiteCacheTest, ExplicitInvalidateFansOutEvenWhenAbsent) {
@@ -203,7 +212,7 @@ TEST_F(SiteCacheTest, ExplicitInvalidateFansOutEvenWhenAbsent) {
   // already dropped it: the co-sited wave must still run.
   site.invalidate({2, 2});
   EXPECT_EQ(fanouts, 1);
-  EXPECT_EQ(site.stats().invalidations, 1u);
+  EXPECT_EQ(total(obs_, "site.invalidations"), 1u);
 }
 
 TEST_F(SiteCacheTest, CapacityEvictionIsLruAndDoesNotFanOut) {
@@ -225,11 +234,11 @@ TEST_F(SiteCacheTest, CapacityEvictionIsLruAndDoesNotFanOut) {
   EXPECT_TRUE(site.contains({0, 0}));
   EXPECT_TRUE(site.contains({0, 2}));
   EXPECT_TRUE(site.contains({0, 3}));
-  EXPECT_EQ(site.stats().evictions, 1u);
+  EXPECT_EQ(total(obs_, "site.evictions"), 1u);
   // Eviction only forgets the index entry — the stager's replica and lease
   // are intact, so nobody's derived state may be dropped.
   EXPECT_EQ(fanouts, 0);
-  EXPECT_LE(site.stats().bytes, 300u);
+  EXPECT_EQ(gauge("site.bytes"), 300.0);
 }
 
 TEST_F(SiteCacheTest, RemovedListenerStopsReceivingFanouts) {
@@ -288,11 +297,12 @@ TEST_F(SiteCacheTest, ConcurrentHammerKeepsTheIndexConsistent) {
   }
   for (std::thread& worker : workers) worker.join();
 
-  const SiteCache::Stats& stats = site.stats();
-  EXPECT_EQ(stats.hits + stats.misses, stats.lookups);
+  EXPECT_EQ(total(obs_, "site.hits") + total(obs_, "site.misses"),
+            total(obs_, "site.lookups"));
   EXPECT_LE(site.size(), 32u);
-  EXPECT_LE(stats.bytes, 64u * 100u);
-  EXPECT_EQ(stats.restage_keys, 32u);
+  EXPECT_GE(gauge("site.bytes"), 0.0);
+  EXPECT_LE(gauge("site.bytes"), 64.0 * 100.0);
+  EXPECT_EQ(total(obs_, "site.restage_keys"), 32u);
   EXPECT_GT(fanouts.load(), 0);
 }
 
@@ -518,8 +528,8 @@ TEST_F(CoSitedPipelineTest, CoSitedAgentsStageEachViewSetExactlyOnce) {
     adopted += agent->counter("agent.site_adopted");
   }
   // Exactly one WAN staging per view set, site-wide...
-  EXPECT_EQ(site_->stats().restage_leaders, sets);
-  EXPECT_EQ(site_->stats().restage_keys, sets);
+  EXPECT_EQ(total(obs_, "site.restage_leaders"), sets);
+  EXPECT_EQ(total(obs_, "site.restage_keys"), sets);
   // ...and the other two agents' work was entirely shared: every one of
   // their 2 * sets staging targets was adopted or joined, never refetched.
   EXPECT_EQ(coalesced + adopted, 2 * sets);
@@ -537,7 +547,7 @@ TEST_F(CoSitedPipelineTest, ControlAgentsWithoutTheSiteCacheStageNTimes) {
     EXPECT_EQ(agent->counter("agent.restage_coalesced"), 0u);
     EXPECT_EQ(agent->counter("agent.site_adopted"), 0u);
   }
-  EXPECT_EQ(site_->stats().restage_leaders, 0u);
+  EXPECT_EQ(total(obs_, "site.restage_leaders"), 0u);
   // Both agents paid the full database over the WAN: the stampede.
   EXPECT_EQ(wan_bytes % 2, 0u);
   EXPECT_GT(wan_bytes, 0u);
@@ -562,7 +572,7 @@ TEST_F(CoSitedPipelineTest, StagedReplicaDeathCountsExactlyOneRestage) {
   ASSERT_TRUE(agent.staging_complete());
   ASSERT_EQ(agent.counter("agent.restaged"), 0u);
   const std::size_t sets = source_->lattice().view_set_count();
-  ASSERT_EQ(site_->stats().restage_leaders, sets);
+  ASSERT_EQ(total(obs_, "site.restage_leaders"), sets);
 
   // Every depot dark: the staged attempt fails, and so does each WAN-side
   // refetch after it. Heal long after the incident has fully played out.
@@ -591,7 +601,7 @@ TEST_F(CoSitedPipelineTest, StagedReplicaDeathCountsExactlyOneRestage) {
   EXPECT_EQ(agent.counter("agent.restaged"), 1u);
   // The queued restage led exactly one single-flight attempt (it failed —
   // the depots were still dark — but it was one flight, not a stampede).
-  EXPECT_EQ(site_->stats().restage_leaders, sets + 1);
+  EXPECT_EQ(total(obs_, "site.restage_leaders"), sets + 1);
   EXPECT_GE(agent.counter("agent.staging_failures"), 1u);
 
   // After the heal the same view set is served cleanly over the WAN.
@@ -630,7 +640,7 @@ TEST_F(CoSitedPipelineTest, LeaseExpiryWaveDropsEveryAgentAtomically) {
   }
   EXPECT_EQ(site_->size(), 0u);
   // One shared entry per view set, each expiring exactly once site-wide.
-  EXPECT_EQ(site_->stats().expirations, sets);
+  EXPECT_EQ(total(obs_, "site.expirations"), sets);
 }
 
 // --- composed co-sited crowd scenario -----------------------------------------

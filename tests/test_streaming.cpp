@@ -118,7 +118,11 @@ class DvsTest : public ::testing::Test {
     net_.add_link(client_, dvs_node_, {1e9, 10 * kMillisecond, 0.0});
     DvsConfig cfg;
     cfg.leaf_capacity = 4;  // force a multi-level tree over 32 view sets
-    dvs_ = std::make_unique<DvsServer>(sim_, net_, dvs_node_, lattice_, cfg);
+    dvs_ = std::make_unique<DvsServer>(sim_, net_, dvs_node_, lattice_, cfg, &obs_);
+  }
+
+  std::uint64_t count(const std::string& name) const {
+    return obs_.metrics.counter_total(name);
   }
 
   exnode::ExNode fake_exnode(const ViewSetId& id) {
@@ -136,6 +140,7 @@ class DvsTest : public ::testing::Test {
   }
 
   sim::Simulator sim_;
+  obs::Context obs_;
   sim::Network net_;
   lightfield::SphericalLattice lattice_;
   sim::NodeId client_, dvs_node_;
@@ -158,7 +163,7 @@ TEST_F(DvsTest, InstallThenQueryFinds) {
   EXPECT_TRUE(result->found);
   EXPECT_EQ(result->levels, dvs_->tree_depth());
   EXPECT_EQ(result->exnode.extents().size(), 1u);
-  EXPECT_EQ(dvs_->stats().hits, 1u);
+  EXPECT_EQ(count("dvs.hits"), 1u);
 }
 
 TEST_F(DvsTest, QueryChargesRoundTripAndLevels) {
@@ -178,7 +183,7 @@ TEST_F(DvsTest, MissWithoutGeneratorReportsNotFound) {
   sim_.run();
   ASSERT_TRUE(result.has_value());
   EXPECT_FALSE(result->found);
-  EXPECT_EQ(dvs_->stats().misses, 1u);
+  EXPECT_EQ(count("dvs.misses"), 1u);
 }
 
 TEST_F(DvsTest, OutOfGridQueriesFailCleanly) {
@@ -217,7 +222,7 @@ TEST_F(DvsTest, MissForwardsToServerAgentTable) {
   ASSERT_TRUE(result.has_value());
   EXPECT_TRUE(result->found);
   EXPECT_EQ(generator.calls, 1);
-  EXPECT_EQ(dvs_->stats().forwarded, 1u);
+  EXPECT_EQ(count("dvs.forwarded"), 1u);
   // The exNode table was updated: the next query is a plain hit.
   EXPECT_TRUE(dvs_->knows({2, 5}));
 }
@@ -228,7 +233,7 @@ TEST_F(DvsTest, UpdateAsyncInstallsRemotely) {
   sim_.run();
   EXPECT_TRUE(done);
   EXPECT_TRUE(dvs_->knows({3, 1}));
-  EXPECT_GE(dvs_->stats().updates, 1u);
+  EXPECT_GE(count("dvs.updates"), 1u);
 }
 
 // --- full pipeline fixture -------------------------------------------------------
