@@ -11,6 +11,7 @@ namespace {
 
 constexpr LinkId kNoLink = std::numeric_limits<LinkId>::max();
 constexpr SimDuration kUnreachable = std::numeric_limits<SimDuration>::max();
+constexpr SimTime kMaxTime = std::numeric_limits<SimTime>::max();
 constexpr double kRateEps = 1e-9;
 constexpr double kBytesEps = 1e-6;
 
@@ -463,33 +464,45 @@ void Network::reallocate() {
   }
   for (const DirLink dl : affected_links) link_visited_[dl] = 0;
 
-  // 4. Reschedule completion events. Targets are recomputed for EVERY flow
-  //    (not just touched ones) with the same arithmetic the seed used, so
+  // 4. Arm the flows due first. Targets are recomputed for EVERY flow (not
+  //    just touched ones) with the same arithmetic the seed used, so
   //    completion instants — including their ±1ns cast edges — are
-  //    bit-identical to a full re-solve. Each flow owns exactly one live
-  //    event; the superseded one is truly erased, not left as a tombstone.
+  //    bit-identical to a full re-solve. Only the flows whose target equals
+  //    the earliest one get a timer, armed in FlowId order; every other flow
+  //    holds no event. The first of those timers to fire requests a solve
+  //    that runs at the same instant, after the rest of this block and
+  //    before any later instant, and re-targets every remaining flow, so a
+  //    timer for a later target would always be cancelled before it ran.
+  //    Leaving it out keeps the (time, seq) order of every event that runs.
+  SimTime first_target = kMaxTime;
+  due_.clear();
   for (auto& [id, flow] : flows_) {
     if (flow.completion_scheduled) {
       sim_.cancel(flow.completion_event);
       flow.completion_scheduled = false;
     }
-    SimTime target = 0;
-    if (flow.remaining <= kBytesEps) {
-      target = now;  // finished exactly at a reallocation boundary
-    } else if (flow.rate <= kRateEps) {
-      continue;  // starved; rescheduled when a solve revives the flow
-    } else {
-      const double secs = flow.remaining / flow.rate;
-      target = now + static_cast<SimDuration>(secs * 1e9) + 1;
+    SimTime target = now;  // finished exactly at a reallocation boundary
+    if (flow.remaining > kBytesEps) {
+      if (flow.rate <= kRateEps) continue;  // starved; a later solve revives it
+      const double ns = flow.remaining / flow.rate * 1e9;
+      // A target the clock cannot hold (a near-zero weight against a busy
+      // link) is treated like a starved flow: it stays unarmed until a
+      // later solve re-targets it. The bound keeps the cast and the sum
+      // below inside SimTime.
+      if (!(ns < static_cast<double>(kMaxTime - now))) continue;
+      target = now + static_cast<SimDuration>(ns) + 1;
     }
-    const FlowId fid = id;
-    flow.completion_event = sim_.at(target, [this, fid] {
-      auto it = flows_.find(fid);
-      if (it == flows_.end()) return;
-      it->second.completion_scheduled = false;
-      complete_flow(fid);
-    });
-    flow.completion_scheduled = true;
+    if (target > first_target) continue;
+    if (target < first_target) {
+      first_target = target;
+      due_.clear();
+    }
+    due_.push_back(&flow);
+  }
+  for (Flow* flow : due_) {
+    flow->completion_event =
+        sim_.at(first_target, [this, id = flow->id] { complete_flow(id); });
+    flow->completion_scheduled = true;
   }
 }
 
@@ -499,7 +512,6 @@ void Network::complete_flow(FlowId id) {
   Flow flow = std::move(it->second);
   detach_flow(flow);
   flows_.erase(it);
-  if (flow.completion_scheduled) sim_.cancel(flow.completion_event);
 
   TransferResult result;
   result.id = id;

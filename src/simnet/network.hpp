@@ -20,9 +20,11 @@
 // deferred solve, and the waterfill runs only over the closure of flows and
 // links reachable from the marked links (flows in untouched components keep
 // their previous rates — bit-for-bit, since they are not even recomputed).
-// Each flow carries exactly one live completion event that is rescheduled as
-// its rate changes, so a reallocation storm cannot pile dead closures into
-// the event queue. See DESIGN.md §15 for the determinism argument.
+// Each solve arms a completion timer only for the flows due first (the
+// earliest target, in FlowId order); the rest hold no event until a later
+// solve makes them due. A reallocation storm therefore neither piles dead
+// closures into the event queue nor cancels and re-inserts a timer per live
+// flow. See DESIGN.md §15 for why the event order stays exact.
 #pragma once
 
 #include <cstdint>
@@ -189,7 +191,7 @@ class Network {
     SimTime last_update = 0;
     SimTime started = 0;
     SimDuration delivery_latency = 0;  // one-way latency incl. jitter
-    TimerId completion_event = 0;      // the flow's single live completion timer
+    TimerId completion_event = 0;      // armed only while the flow is due first
     bool completion_scheduled = false;
     // Scratch flags for the waterfill (valid only inside reallocate()).
     bool wf_affected = false;
@@ -199,8 +201,9 @@ class Network {
   };
 
   /// Integrates progress of all flows up to now, recomputes the weighted
-  /// max-min allocation over the affected component, and reschedules
-  /// completion events.
+  /// max-min allocation over the affected component, re-targets every
+  /// flow's completion, and arms a timer only for the flows whose target is
+  /// the earliest; the rest are disarmed until a later solve.
   void reallocate();
 
   /// Coalesces solve requests: the first request at an instant schedules one
@@ -212,6 +215,7 @@ class Network {
   void detach_flow(const Flow& flow);
   void mark_link_changed(DirLink dl);
 
+  /// Runs from the flow's own completion timer, so there is none to cancel.
   void complete_flow(FlowId id);
   [[nodiscard]] std::vector<DirLink> route(NodeId src, NodeId dst) const;
 
@@ -240,6 +244,7 @@ class Network {
   std::vector<DirLink> changed_links_;   // membership/capacity changes since
   std::vector<char> link_changed_;       // the last solve (flag per DirLink)
   std::vector<char> link_visited_;       // closure scratch
+  std::vector<Flow*> due_;               // solve scratch: flows due first
   bool realloc_pending_ = false;
   bool full_resolve_ = false;
 

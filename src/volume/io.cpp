@@ -16,9 +16,11 @@ void save_raw_u8(const ScalarVolume& volume, const std::string& path) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) throw std::runtime_error("save_raw_u8: cannot open " + path);
   for (const float v : volume.data()) {
+    // Quantize through unsigned char: values above 127 do not fit a signed
+    // char, and a float-to-char cast out of range is undefined.
     const auto byte =
-        static_cast<char>(std::clamp(v, 0.0f, 1.0f) * 255.0f + 0.5f);
-    out.put(byte);
+        static_cast<unsigned char>(std::clamp(v, 0.0f, 1.0f) * 255.0f + 0.5f);
+    out.put(static_cast<char>(byte));
   }
 }
 

@@ -489,11 +489,13 @@ TEST_F(NetworkTest, InvalidArgumentsThrow) {
   EXPECT_THROW(net_.start_transfer(a_, b_, 1, opts, [](auto&) {}), std::invalid_argument);
 }
 
-// Event hygiene: every flow owns exactly one live completion event, so a
-// reallocation storm (many flows arriving and departing on one shared link)
-// keeps the pending-event count proportional to the number of live flows.
-// The seed's epoch-guarded design left every superseded completion closure
-// in the queue — pending() grew with the square of the flow count.
+// Event hygiene: a solve arms a completion timer only for the flows due
+// first, so a reallocation storm (many flows arriving and departing on one
+// shared link) keeps the pending-event count proportional to the number of
+// live flows, and cancels at most one timer per flow rather than one per
+// live flow per solve. The seed's epoch-guarded design left every
+// superseded completion closure in the queue — pending() grew with the
+// square of the flow count.
 TEST_F(NetworkTest, ReallocationStormKeepsTheEventQueueBounded) {
   make_pair_topology(100e6);
   constexpr int kFlows = 64;
@@ -508,9 +510,78 @@ TEST_F(NetworkTest, ReallocationStormKeepsTheEventQueueBounded) {
   std::size_t max_pending = 0;
   while (sim_.step()) max_pending = std::max(max_pending, sim_.pending());
   EXPECT_EQ(done, kFlows);
-  // One completion timer and one delivery/driver event per flow, plus the
-  // coalesced solve — far below the seed's quadratic stale-closure pile-up.
+  // At most one completion timer and one start or delivery event per flow,
+  // plus the coalesced solve — far below the seed's quadratic stale-closure
+  // pile-up.
   EXPECT_LE(max_pending, static_cast<std::size_t>(3 * kFlows + 8));
+  // Only an armed timer whose flow is re-targeted before it fires is ever
+  // cancelled.
+  EXPECT_LE(sim_.cancelled(), static_cast<std::uint64_t>(kFlows));
+}
+
+// Tie order at a shared completion instant: a solve re-arms every flow due
+// first, even flows its component does not touch, so their timers always sit
+// after any event scheduled for the same instant before that solve. X and Y
+// run on their own links and are both due at 100,000,001 ns; a probe
+// scheduled at 25 ms for that instant sees them finish first unless a later
+// solve — here Z's, on a third disjoint link — re-arms them behind it.
+TEST_F(NetworkTest, SolvesReArmDueFlowsBehindSameInstantEvents) {
+  constexpr SimTime kDue = 100'000'001;
+  const auto probe_reads = [](bool start_z) {
+    Simulator sim;
+    Network net(sim);
+    std::vector<NodeId> nodes;
+    for (const char* name : {"x0", "x1", "y0", "y1", "z0", "z1"}) {
+      nodes.push_back(net.add_node(name));
+    }
+    for (std::size_t i = 0; i < nodes.size(); i += 2) {
+      net.add_link(nodes[i], nodes[i + 1], {100e6, 10 * kMillisecond, 0.0});
+    }
+    TransferOptions opts;
+    opts.window_bytes = 1 << 30;
+    std::vector<SimTime> finished;
+    const auto record = [&finished](const TransferResult& r) {
+      finished.push_back(r.finished);
+    };
+    // 20 ms handshake, then 1 MB at 12.5 MB/s: due at 100 ms + 1 ns.
+    net.start_transfer(nodes[0], nodes[1], 1'000'000, opts, record);
+    net.start_transfer(nodes[2], nodes[3], 1'000'000, opts, record);
+    std::optional<std::size_t> seen;
+    sim.at(25 * kMillisecond, [&] { sim.at(kDue, [&] { seen = net.active_flows(); }); });
+    if (start_z) {
+      sim.at(30 * kMillisecond,
+             [&] { net.start_transfer(nodes[4], nodes[5], 10'000, opts, [](auto&) {}); });
+    }
+    sim.run();
+    // X and Y finish at the same instant either way; only the order of the
+    // probe against their timers differs.
+    EXPECT_EQ(finished, (std::vector<SimTime>{kDue + 10 * kMillisecond,
+                                              kDue + 10 * kMillisecond}));
+    EXPECT_TRUE(seen.has_value());
+    return seen.value_or(99);
+  };
+  EXPECT_EQ(probe_reads(false), 0u);
+  EXPECT_EQ(probe_reads(true), 2u);
+}
+
+// A completion target past the end of the clock — a near-zero weight against
+// a busy link — is left unarmed like a starved flow, and the solve after its
+// peer finishes re-targets it; casting that target to SimTime would overflow.
+TEST_F(NetworkTest, TargetBeyondTheClockWaitsForALaterSolve) {
+  make_pair_topology(100e6, kMillisecond);  // 12.5 MB/s
+  TransferOptions normal, light;
+  normal.window_bytes = light.window_bytes = 1 << 30;
+  light.weight = 1e-12;
+  std::optional<TransferResult> rn, rl;
+  net_.start_transfer(a_, b_, 10'000'000, normal, [&](const TransferResult& r) { rn = r; });
+  net_.start_transfer(a_, b_, 10'000'000, light, [&](const TransferResult& r) { rl = r; });
+  sim_.run();
+  ASSERT_TRUE(rn && rl);
+  // 2 ms handshake, then the normal flow takes the whole link for 0.8 s;
+  // the light flow follows with its 10 MB in another 0.8 s.
+  EXPECT_NEAR(to_seconds(rn->elapsed()), 0.002 + 0.8 + 0.001, 1e-3);
+  EXPECT_NEAR(to_seconds(rl->elapsed()), 0.002 + 1.6 + 0.001, 1e-3);
+  EXPECT_GT(rl->finished, rn->finished);
 }
 
 // Differential check: the affected-component solve and a forced full-graph
