@@ -71,7 +71,7 @@ std::uint64_t decompressed_size(std::span<const std::uint8_t> compressed);
 // magic marks that the *payload* is an inter-view-predicted view-set
 // serialization (SerializeMode::kAdaptive in lightfield/viewset.hpp), so the
 // wire format is observable per mode while every chunked-container consumer
-// (the decompress pipeline, the client) handles both transparently.
+// (decompress_chunked, and through it the client) handles both transparently.
 
 /// Compresses in `chunk_bytes` chunks, in parallel when a pool is given.
 Bytes compress_chunked(std::span<const std::uint8_t> data,

@@ -29,16 +29,13 @@ class ViewSetSource {
   /// Builds the (uncompressed) view set for `id`.
   [[nodiscard]] virtual ViewSet build(const ViewSetId& id) = 0;
 
-  /// Builds and compresses in one step. chunk_bytes > 0 selects the chunked
-  /// (LFZC) container — the format the agent-side decompress pipeline can
-  /// overlap with stripe transfers — compressed across `pool` when given.
-  /// lfz2 selects the inter-view-predicted LFZ2 container instead (always
-  /// chunked; chunk_bytes 0 falls back to the 1 MiB default).
-  [[nodiscard]] Bytes build_compressed(const ViewSetId& id, std::uint64_t chunk_bytes = 0,
-                                       ThreadPool* pool = nullptr, bool lfz2 = false) {
+  /// Builds and compresses in one step: plain lfz, or with lfz2 the
+  /// inter-view-predicted LFZ2 container in 1 MiB chunks compressed across
+  /// `pool` when given.
+  [[nodiscard]] Bytes build_compressed(const ViewSetId& id, ThreadPool* pool = nullptr,
+                                       bool lfz2 = false) {
     const ViewSet vs = build(id);
-    if (lfz2) return vs.compress_lfz2(chunk_bytes > 0 ? chunk_bytes : 1 << 20, pool);
-    return chunk_bytes > 0 ? vs.compress_chunked(chunk_bytes, pool) : vs.compress();
+    return lfz2 ? vs.compress_lfz2(1 << 20, pool) : vs.compress();
   }
 };
 

@@ -66,8 +66,8 @@ class ViewSet {
                                        SerializeMode mode = SerializeMode::kIntra) const;
 
   /// LFZ2: the adaptive inter-view serialization in a chunked container
-  /// under the "LFZ2" magic — fewer bytes on the wire than LFZC at the same
-  /// pipeline/overlap behaviour.
+  /// under the "LFZ2" magic — fewer bytes on the wire than LFZC in the same
+  /// chunk layout.
   [[nodiscard]] Bytes compress_lfz2(std::uint64_t chunk_bytes = 1 << 20,
                                     ThreadPool* pool = nullptr) const;
 

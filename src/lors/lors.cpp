@@ -238,14 +238,6 @@ bool block_ok(const DownloadState& st, const exnode::Extent& ext, std::size_t re
               *ext.checksum);
 }
 
-void download_stripe_done(const std::shared_ptr<DownloadState>& st,
-                          const exnode::Extent& ext) {
-  --st->outstanding;
-  if (st->options.on_stripe) {
-    st->options.on_stripe(StripeEvent{ext.offset, ext.length, st->data.get(), st->data});
-  }
-}
-
 /// Drains the batch of same-instant arrivals: checksums run across the pool
 /// (each block verified in place over its disjoint slab region — nothing is
 /// copied), then outcomes are handled on the simulator thread in ascending
@@ -277,7 +269,7 @@ void download_verify_batch(const std::shared_ptr<DownloadState>& st) {
                           block.round);
       continue;
     }
-    download_stripe_done(st, ext);
+    --st->outstanding;
   }
   download_launch(st);
 }
@@ -390,7 +382,7 @@ void download_extent_try(const std::shared_ptr<DownloadState>& st, std::size_t e
           download_extent_try(st, extent_index, order, attempt + 1, round);
           return;
         }
-        download_stripe_done(st, ext);
+        --st->outstanding;
         download_launch(st);
       });
 }

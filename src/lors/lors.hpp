@@ -71,20 +71,6 @@ struct RetryPolicy {
   [[nodiscard]] SimDuration backoff_for(int round, Rng& rng) const;
 };
 
-/// Notification that one extent's bytes have been verified in place in the
-/// download's result slab. `buffer` is the in-progress result object (full
-/// length, zero-filled where extents are still in flight); only
-/// [offset, offset + length) is guaranteed valid during this callback.
-/// `owner` shares ownership of that slab — a consumer that reads stripe
-/// bytes asynchronously (the decompress pipeline's pool tasks) must hold it
-/// so the pooled buffer cannot be recycled underneath the reads.
-struct StripeEvent {
-  std::uint64_t offset = 0;
-  std::uint64_t length = 0;
-  const Bytes* buffer = nullptr;
-  std::shared_ptr<const Bytes> owner;
-};
-
 struct DownloadOptions {
   sim::TransferOptions net;          ///< per-block transfer options
   int max_concurrent = 8;            ///< in-flight block downloads
@@ -95,10 +81,6 @@ struct DownloadOptions {
   /// extent order behind a zero-delay barrier, so the outcome (bytes, status,
   /// counters, virtual completion time) is identical to the serial path.
   ThreadPool* pool = nullptr;
-  /// Called on the simulator thread as each extent is verified and assembled,
-  /// in completion order — the hook the client agent's decompress pipeline
-  /// hangs off to overlap chunk decode with in-flight transfers.
-  std::function<void(const StripeEvent&)> on_stripe;
   /// Parent for the lors.download trace span — lets the span chain survive
   /// the async hop from whoever requested the download.
   obs::SpanId parent_span = 0;

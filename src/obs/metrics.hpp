@@ -3,7 +3,7 @@
 //
 // The paper's whole argument is quantitative (the >30 fps interactivity
 // claim, the hit/LAN/WAN latency classes of figures 9-12), and NetLogger-style
-// pipeline instrumentation is what made WAN visualization tunable in the
+// end-to-end instrumentation is what made WAN visualization tunable in the
 // first place (Bethel et al., PAPERS.md). Instead of every layer keeping its
 // own ad-hoc stats struct that each bench re-aggregates by hand, all layers
 // increment metrics in one registry, and a counter's registry name is its

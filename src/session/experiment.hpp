@@ -111,12 +111,10 @@ struct ExperimentConfig {
   int repair_target_replicas = 0;    ///< 0 = publish_replicas
   std::size_t repair_batch = 4;      ///< exNodes probed per sweep
 
-  // Concurrency (the parallel demand path). The defaults reproduce the
-  // serial seed behaviour exactly.
-  ThreadPool* pool = nullptr;  ///< CPU pool for publish, verify and codec work
-  /// > 0: publish view sets as chunked (LFZC) containers of this chunk size,
-  /// the format the pipeline can overlap. 0 = plain lfz (the seed format).
-  std::uint64_t publish_chunk_bytes = 0;
+  // Concurrency. The default reproduces the serial seed behaviour exactly.
+  /// CPU pool for the agents' batched LoRS stripe verification, also handed
+  /// to the server agent. Virtual results do not depend on it.
+  ThreadPool* pool = nullptr;
 
   /// Coarse tiers of the scene (view resolutions), published next to the
   /// full database, each in its own DVS namespace. The agent's ladder

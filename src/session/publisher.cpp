@@ -49,8 +49,7 @@ PublishResult publish_database(sim::Simulator& sim, lors::Lors& lors,
 
   for (const auto& id : all) {
     if (all_real || real_set.contains(id)) {
-      Bytes compressed =
-          source.build_compressed(id, options.chunk_bytes, options.pool, options.lfz2);
+      Bytes compressed = source.build_compressed(id);
       real_bytes += compressed.size();
       ++real_count;
       payloads.emplace_back(id, std::move(compressed));

@@ -38,15 +38,6 @@ struct PublishOptions {
   std::uint64_t filler_seed = 9;
   /// Filler sizes vary this much (fractionally) around the measured mean.
   double filler_size_jitter = 0.1;
-
-  /// > 0: real view sets are published as chunked (LFZC) containers of this
-  /// chunk size — the format the client agent's decompress pipeline can
-  /// overlap with stripe transfers — compressed across `pool` when given.
-  std::uint64_t chunk_bytes = 0;
-  ThreadPool* pool = nullptr;
-  /// Publish real view sets as inter-view-predicted LFZ2 containers instead
-  /// of LFZC — fewer bytes on the wire, decoded transparently by the client.
-  bool lfz2 = false;
 };
 
 struct PublishResult {

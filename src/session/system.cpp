@@ -97,8 +97,6 @@ PublishResult& System::publish(const ExperimentConfig& config,
   publish.replicas = config.publish_replicas;
   publish.net.streams = 8;
   publish.all_filler = config.all_filler;
-  publish.chunk_bytes = config.publish_chunk_bytes;
-  publish.pool = config.pool;
   if (!config.full_content && !config.all_filler) {
     std::set<std::pair<int, int>> visited;
     for (const CursorScript* script : scripts) {
@@ -144,8 +142,6 @@ void System::ensure_lod(const ExperimentConfig& config) {
     publish.replicas = config.publish_replicas;
     publish.net.streams = 8;
     publish.all_filler = config.all_filler;
-    publish.chunk_bytes = config.publish_chunk_bytes;
-    publish.pool = config.pool;
     if (!config.full_content && !config.all_filler) publish.real_ids = visited_;
     const PublishResult coarse_published =
         publish_database(sim, lors, *tier.dvs, *tier.source, server_node, publish);
@@ -210,7 +206,6 @@ void System::make_server_agent(const ExperimentConfig& config) {
   sa.depots = (config.which == Case::kLanData) ? lan_depots : wan_depots;
   sa.replicas = config.publish_replicas;
   sa.net.streams = 8;
-  sa.chunk_bytes = config.publish_chunk_bytes;
   sa.pool = config.pool;
   sa.admission = config.server_admission;
   sa.deadline = config.agent.deadline;

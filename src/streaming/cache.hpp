@@ -20,10 +20,9 @@
 // lod 0 is full resolution; higher lods are coarser tiers.
 //
 // Thread-safe: the multi-client session driver hammers one shared agent's
-// cache from concurrent fetch completions, and the decompress pipeline holds
-// payloads while the simulator thread keeps evicting. All operations take an
-// internal mutex, and get() hands out shared ownership of the payload so a
-// reader is never left holding bytes that a concurrent put() just evicted.
+// cache from concurrent fetch completions. All operations take an internal
+// mutex, and get() hands out shared ownership of the payload so a reader is
+// never left holding bytes that a concurrent put() just evicted.
 #pragma once
 
 #include <cstdint>

@@ -8,6 +8,26 @@
 
 namespace lon::streaming {
 
+namespace {
+
+/// Decodes a delivered payload and rejects any view set but the requested
+/// one. The renderer keys a set by the id in its own header, so a payload
+/// naming another id would be installed under that id, and one of another
+/// span would index past its block. Resolution is not checked: coarse LOD
+/// tiers arrive smaller and the renderer scales them.
+lightfield::ViewSet decode_requested(const Bytes& compressed,
+                                     const lightfield::ViewSetId& id, int span) {
+  lightfield::ViewSet vs = lightfield::ViewSet::decompress(compressed);
+  if (vs.id() != id || vs.span() != span) {
+    throw DecodeError("delivered " + vs.id().key() + " (span " + std::to_string(vs.span()) +
+                      ") for requested " + id.key() + " (span " + std::to_string(span) +
+                      ")");
+  }
+  return vs;
+}
+
+}  // namespace
+
 Client::Client(sim::Simulator& sim, sim::Network& net,
                const lightfield::LatticeConfig& lattice, sim::NodeId node,
                ClientAgent& agent, ClientConfig config, obs::Context* obs)
@@ -22,7 +42,6 @@ Client::Client(sim::Simulator& sim, sim::Network& net,
                scope_.counter("session.hits"),
                scope_.counter("session.lan"),
                scope_.counter("session.wan"),
-               scope_.counter("session.pipelined"),
                scope_.histogram("session.total_ns"),
                scope_.histogram("session.comm_ns"),
                scope_.histogram("session.decompress_ns"),
@@ -38,7 +57,6 @@ Client::Client(sim::Simulator& sim, sim::Network& net,
 
 void Client::record_access(const AccessRecord& record) {
   metrics_.accesses.inc();
-  if (record.pipelined) metrics_.pipelined.inc();
   metrics_.total_ns.record(record.total());
   metrics_.comm_ns.record(record.comm_latency);
   metrics_.decompress_ns.record(record.decompress_time);
@@ -108,8 +126,7 @@ void Client::send_request(const lightfield::ViewSetId& id, obs::SpanId span) {
     agent_.request_view_set(
         id, node_,
         [this](const ClientAgent::Delivery& d) {
-          // Payload transfer agent -> client. The wire carries the compressed
-          // bytes; a pre-decoded view set (pipeline) rides along as metadata.
+          // Payload transfer agent -> client: the compressed bytes.
           auto delivery = std::make_shared<ClientAgent::Delivery>(d);
           sim::TransferOptions opts = config_.lan_net;
           net_.start_transfer(agent_.node(), node_, delivery->payload->size(), opts,
@@ -132,13 +149,14 @@ SimDuration Client::charge_decompress(const Bytes& compressed,
     return static_cast<SimDuration>(static_cast<double>(out.pixel_bytes()) /
                                     config_.decompress_bytes_per_sec * 1e9);
   }
+  const int span = renderer_.lattice().config().view_set_span;
   if (config_.timing == ClientConfig::Timing::kMeasured) {
     const auto start = std::chrono::steady_clock::now();
-    out = lightfield::ViewSet::decompress(compressed);
+    out = decode_requested(compressed, id, span);
     const auto stop = std::chrono::steady_clock::now();
     return std::chrono::duration_cast<std::chrono::nanoseconds>(stop - start).count();
   }
-  out = lightfield::ViewSet::decompress(compressed);
+  out = decode_requested(compressed, id, span);
   return static_cast<SimDuration>(static_cast<double>(out.pixel_bytes()) /
                                   config_.decompress_bytes_per_sec * 1e9);
 }
@@ -200,23 +218,11 @@ void Client::on_delivery(const ClientAgent::Delivery& delivery) {
   lightfield::ViewSet vs;
   SimDuration decompress_time = 0;
   bool ok = true;
-  if (config_.decode && delivery.view_set != nullptr && delivery.pipeline != nullptr) {
-    // The agent's pipeline already decoded the set while its stripes were in
-    // flight; install that copy and charge only the tail the overlap could
-    // not hide (a deterministic replay of the chunk schedule, independent of
-    // the host's real core count).
-    vs = *delivery.view_set;
-    decompress_time =
-        residual_decompress_time(*delivery.pipeline, config_.decompress_bytes_per_sec,
-                                 config_.modeled_decode_workers);
-    record.pipelined = true;
-  } else {
-    try {
-      decompress_time = charge_decompress(compressed, request.id, vs);
-    } catch (const DecodeError& e) {
-      LON_LOG(kError, "client") << "view set decode failed: " << e.what();
-      ok = false;
-    }
+  try {
+    decompress_time = charge_decompress(compressed, request.id, vs);
+  } catch (const DecodeError& e) {
+    LON_LOG(kError, "client") << "view set decode failed: " << e.what();
+    ok = false;
   }
   record.decompress_time = decompress_time;
 
@@ -238,7 +244,6 @@ void Client::on_delivery(const ClientAgent::Delivery& delivery) {
       obs_.trace.begin("client.decompress", sim_.now(), request.span);
   obs_.trace.arg(decomp_span, "bytes", compressed.size());
   obs_.trace.arg(decomp_span, "codec", codec);
-  if (record.pipelined) obs_.trace.arg(decomp_span, "mode", "pipelined");
 
   sim_.after(decompress_time,
              [this, record, decomp_span, vs = std::move(vs), ok,

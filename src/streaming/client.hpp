@@ -35,10 +35,6 @@ struct ClientConfig {
   /// is installed and decompression time is modeled from the view-set
   /// geometry). For communication-latency studies over filler databases.
   bool decode = true;
-  /// Modeled decoder parallelism when replaying a pipelined delivery's chunk
-  /// schedule (agent-side overlap). Fixed rather than derived from the host
-  /// core count so modeled runs are machine-independent.
-  int modeled_decode_workers = 4;
   sim::TransferOptions lan_net;          ///< client <-> agent transfers
 
   /// Retry discipline for kShed deliveries: the serving tier refused under
@@ -87,7 +83,6 @@ class Client {
     obs::Counter& hits;
     obs::Counter& lan;
     obs::Counter& wan;
-    obs::Counter& pipelined;
     obs::LatencyHistogram& total_ns;
     obs::LatencyHistogram& comm_ns;
     obs::LatencyHistogram& decompress_ns;
@@ -106,6 +101,9 @@ class Client {
   void record_access(const AccessRecord& record);
   void install_view_set(lightfield::ViewSet vs);
 
+  /// Decodes `compressed` into `out` and returns the virtual time to charge.
+  /// Throws DecodeError on a corrupt payload, and on a view set whose id is
+  /// not `id` or whose span is not the lattice's.
   [[nodiscard]] SimDuration charge_decompress(const Bytes& compressed,
                                               const lightfield::ViewSetId& id,
                                               lightfield::ViewSet& out) const;

@@ -62,14 +62,12 @@ ClientAgent::ClientAgent(sim::Simulator& sim, sim::Network& net, ibp::Fabric& fa
                scope_.counter("agent.invalidations"),
                scope_.counter("agent.restaged"),
                scope_.counter("agent.lease_refreshes"),
-               scope_.counter("agent.pipelined"),
                scope_.counter("policy.predictions"),
                scope_.counter("prefetch.bytes"),
                scope_.counter("prefetch.useful"),
                scope_.counter("prefetch.useful_bytes"),
                scope_.counter("cache.pollution_evictions"),
                scope_.counter("cache.rejected_prefetch"),
-               scope_.counter("agent.pipeline_aborts"),
                scope_.counter("agent.demand_shed"),
                scope_.counter("agent.shed_queue_full"),
                scope_.counter("agent.shed_no_tokens"),
@@ -178,7 +176,7 @@ void ClientAgent::deliver_shed(const lightfield::ViewSetId& id, AdmissionDecisio
   if (!cb) return;
   sim_.after(0, [cb = std::move(cb)] {
     static const auto empty = std::make_shared<const Bytes>();
-    Delivery delivery{empty, AccessClass::kWan, 0, nullptr, nullptr};
+    Delivery delivery{empty, AccessClass::kWan, 0};
     delivery.status = DeliveryStatus::kShed;
     cb(delivery);
   });
@@ -207,7 +205,7 @@ void ClientAgent::fetch(const lightfield::ViewSetId& id, RichDeliverCallback cb,
       sim_.after(kAgentHitLatency, [this, span, data = std::move(data),
                                     cb = std::move(cb)] {
         obs_.trace.end(span, sim_.now());
-        cb(Delivery{data, AccessClass::kAgentHit, kAgentHitLatency, nullptr, nullptr});
+        cb(Delivery{data, AccessClass::kAgentHit, kAgentHitLatency});
       });
     }
     return;
@@ -235,8 +233,7 @@ void ClientAgent::fetch(const lightfield::ViewSetId& id, RichDeliverCallback cb,
           sim_.after(kAgentHitLatency,
                      [this, span, have, data = std::move(data), cb = std::move(cb)] {
                        obs_.trace.end(span, sim_.now());
-                       Delivery delivery{data, AccessClass::kAgentHit, kAgentHitLatency,
-                                         nullptr, nullptr};
+                       Delivery delivery{data, AccessClass::kAgentHit, kAgentHitLatency};
                        delivery.lod = have;
                        delivery.degraded_lod = true;
                        cb(delivery);
@@ -441,23 +438,10 @@ void ClientAgent::download(const lightfield::ViewSetId& id, const exnode::ExNode
   options.net = (cls == AccessClass::kLanDepot) ? config_.lan_net : config_.wan_net;
   options.retry = config_.retry;
   options.parent_span = it != inflight_.end() ? it->second.span : 0;
-  // CPU work off the simulator thread: stripe verification batches across
-  // the pool, and — when the pipeline is on — chunk decompression overlaps
-  // the remaining stripe transfers. One fresh pipeline per download attempt.
+  // Stripe verification batches across the pool, off the simulator thread.
   options.pool = config_.pool;
-  std::shared_ptr<DecompressPipeline> pipeline;
-  if (config_.pipeline_decompress) {
-    DecompressPipeline::Options pipe_options;
-    pipe_options.pool = config_.pool != nullptr ? config_.pool : &ThreadPool::shared();
-    pipe_options.max_inflight = config_.pipeline_inflight;
-    if (options.pool == nullptr) options.pool = pipe_options.pool;
-    pipeline = std::make_shared<DecompressPipeline>(pipe_options);
-    options.on_stripe = [this, pipeline](const lors::StripeEvent& event) {
-      pipeline->on_stripe(event, sim_.now());
-    };
-  }
   lors_.download_async(node_, exnode, options,
-                       [this, id, cls, pipeline](lors::DownloadResult result) {
+                       [this, id, cls](lors::DownloadResult result) {
                          if (cls == AccessClass::kWan) {
                            metrics_.demand_wan_active.set(--demand_wan_active_);
                            staging_pump();  // resume if paused on miss
@@ -469,15 +453,6 @@ void ClientAgent::download(const lightfield::ViewSetId& id, const exnode::ExNode
                            // The failed attempt's landed bytes were real
                            // copy work even though nothing is delivered.
                            metrics_.payload_copy_bytes.inc(result.copied_bytes);
-                           // This attempt's pipeline dies with the attempt:
-                           // drain its in-flight chunk decodes now, or they
-                           // keep holding pool slots and decoded buffers
-                           // (and the refetch races a new pipeline against
-                           // the abandoned one).
-                           if (pipeline != nullptr) {
-                             pipeline->abort();
-                             metrics_.pipeline_aborts.inc();
-                           }
                            // The exNode we trusted may be stale: leases run
                            // out, soft staged copies get revoked, depots
                            // crash. Forget everything we believed about this
@@ -509,8 +484,7 @@ void ClientAgent::download(const lightfield::ViewSetId& id, const exnode::ExNode
                            finish_fetch(id, nullptr, 0);
                            return;
                          }
-                         finish_fetch(id, std::move(result.data),
-                                      result.copied_bytes, pipeline);
+                         finish_fetch(id, std::move(result.data), result.copied_bytes);
                        });
 }
 
@@ -551,8 +525,7 @@ void ClientAgent::on_site_invalidate(const lightfield::ViewSetId& id) {
 }
 
 void ClientAgent::finish_fetch(const lightfield::ViewSetId& id, std::shared_ptr<Bytes> data,
-                               std::uint64_t copied_bytes,
-                               const std::shared_ptr<DecompressPipeline>& pipeline) {
+                               std::uint64_t copied_bytes) {
   auto it = inflight_.find(id);
   if (it == inflight_.end()) return;
   Inflight flight = std::move(it->second);
@@ -626,27 +599,6 @@ void ClientAgent::finish_fetch(const lightfield::ViewSetId& id, std::shared_ptr<
     }
   }
 
-  // Drain the pipeline: every in-flight chunk decode joins here, and the
-  // reassembled view set rides along in the delivery so clients skip the
-  // serial whole-buffer decompress.
-  std::shared_ptr<const lightfield::ViewSet> decoded;
-  std::shared_ptr<const DecompressPipeline::Report> report;
-  if (ok && pipeline != nullptr) {
-    auto drained = std::make_shared<DecompressPipeline::Report>();
-    if (auto raw = pipeline->finish(*payload, sim_.now(), *drained)) {
-      try {
-        decoded = std::make_shared<const lightfield::ViewSet>(
-            lightfield::ViewSet::deserialize(*raw));
-        metrics_.pipelined.inc();
-      } catch (const DecodeError& e) {
-        LON_LOG(kWarn, "client-agent")
-            << "pipelined view set " << id.key() << " undecodable: " << e.what();
-        decoded = nullptr;
-      }
-    }
-    if (drained->chunked) report = std::move(drained);
-  }
-
   obs_.trace.arg(flight.span, "class", to_string(flight.cls));
   obs_.trace.arg(flight.span, "outcome", ok ? "ok" : "failed");
   obs_.trace.end(flight.span, sim_.now());
@@ -673,8 +625,7 @@ void ClientAgent::finish_fetch(const lightfield::ViewSetId& id, std::shared_ptr<
       }
     }
     if (waiter.cb) {
-      Delivery delivery{payload, flight.cls, sim_.now() - waiter.arrived, decoded,
-                        report};
+      Delivery delivery{payload, flight.cls, sim_.now() - waiter.arrived};
       delivery.status = status;
       delivery.copied_bytes = copied_bytes;
       delivery.lod = flight.lod;

@@ -30,7 +30,6 @@
 
 #include "lbone/lbone.hpp"
 #include "lightfield/lattice.hpp"
-#include "lightfield/viewset.hpp"
 #include "lors/lors.hpp"
 #include "obs/obs.hpp"
 #include "policy/eviction.hpp"
@@ -41,7 +40,6 @@
 #include "streaming/admission.hpp"
 #include "streaming/cache.hpp"
 #include "streaming/dvs.hpp"
-#include "streaming/pipeline.hpp"
 #include "streaming/types.hpp"
 
 namespace lon::streaming {
@@ -138,18 +136,9 @@ struct ClientAgentConfig {
 
   // --- Concurrency ----------------------------------------------------------
 
-  /// Pool for CPU-bound demand-path work: batched stripe verification inside
-  /// LoRS and the decompress pipeline. Null = ThreadPool::shared() when the
-  /// pipeline is on, serial LoRS verification otherwise.
+  /// Pool for batched stripe verification inside LoRS downloads
+  /// (lors::DownloadOptions::pool). Null = serial verification.
   ThreadPool* pool = nullptr;
-  /// Overlap chunk decompression of chunked (LFZC) payloads with the
-  /// still-in-flight stripe transfers of the same download. Deliveries then
-  /// carry the pre-decoded view set plus the per-chunk virtual arrival
-  /// record the client replays to charge only the unhidden decode tail.
-  bool pipeline_decompress = false;
-  /// Chunk decodes in flight before the pipeline's producer blocks
-  /// (0 = twice the pool size).
-  std::size_t pipeline_inflight = 0;
 
   // --- Overload protection --------------------------------------------------
 
@@ -213,13 +202,6 @@ class ClientAgent {
     std::shared_ptr<const Bytes> payload;  ///< compressed bytes (never null)
     AccessClass cls = AccessClass::kWan;
     SimDuration comm_latency = 0;
-    /// Set when the decompress pipeline decoded the payload while its
-    /// stripes were still arriving; clients use it instead of decompressing
-    /// the payload again.
-    std::shared_ptr<const lightfield::ViewSet> view_set;
-    /// The pipeline's virtual-time record (null when not pipelined) — input
-    /// to residual_decompress_time for the client's modeled charge.
-    std::shared_ptr<const DecompressPipeline::Report> pipeline;
     /// kShed = overload refusal (retry with backoff); kFailed = the view set
     /// could not be obtained. Either way the payload is empty.
     DeliveryStatus status = DeliveryStatus::kOk;
@@ -333,14 +315,12 @@ class ClientAgent {
     obs::Counter& invalidations;
     obs::Counter& restaged;
     obs::Counter& lease_refreshes;
-    obs::Counter& pipelined;
     obs::Counter& predictions;           ///< policy.predictions
     obs::Counter& prefetch_bytes;        ///< prefetch.bytes
     obs::Counter& prefetch_useful;       ///< prefetch.useful
     obs::Counter& prefetch_useful_bytes; ///< prefetch.useful_bytes
     obs::Counter& pollution_evictions;   ///< cache.pollution_evictions
     obs::Counter& rejected_prefetch;     ///< cache.rejected_prefetch
-    obs::Counter& pipeline_aborts;       ///< agent.pipeline_aborts
     obs::Counter& demand_shed;           ///< agent.demand_shed
     obs::Counter& shed_queue_full;       ///< agent.shed_queue_full
     obs::Counter& shed_no_tokens;        ///< agent.shed_no_tokens
@@ -427,8 +407,7 @@ class ClientAgent {
   /// cache and deliveries, never copied), `copied_bytes` the payload bytes
   /// physically copied obtaining it (LoRS landing passes).
   void finish_fetch(const lightfield::ViewSetId& id, std::shared_ptr<Bytes> data,
-                    std::uint64_t copied_bytes,
-                    const std::shared_ptr<DecompressPipeline>& pipeline = nullptr);
+                    std::uint64_t copied_bytes);
 
   /// Drops every cached belief about `id`. With drop_staged (the default)
   /// the staged entry and any shared site copy go too, and the id is queued

@@ -162,8 +162,7 @@ void ServerAgent::run_one(Request request) {
   // The generator occupies the cluster for the modeled generation time;
   // the actual pixel content is produced by the source.
   sim_.after(generation_cost(), [this, request = std::move(request)]() mutable {
-    Bytes compressed = source_->build_compressed(request.id, config_.chunk_bytes,
-                                                 config_.pool, config_.lfz2);
+    Bytes compressed = source_->build_compressed(request.id, config_.pool, config_.lfz2);
     metrics_.generated.inc();
 
     lors::UploadOptions upload;

@@ -45,13 +45,10 @@ struct ServerAgentConfig {
   /// across lanes, so one request on a busy server is slower but N waiting
   /// clients stop serializing behind each other's uploads.
   int generator_lanes = 1;
-  /// Compressed-container chunk size handed to the source (> 0 emits the
-  /// chunked LFZC format the agent pipeline can overlap; 0 = plain lfz).
-  std::uint64_t chunk_bytes = 0;
-  /// Pool for the source's real CPU work (ray-cast views, codec chunks).
+  /// Pool for the source's LFZ2 chunk compression.
   ThreadPool* pool = nullptr;
-  /// Emit inter-view-predicted LFZ2 containers instead of LFZC — fewer
-  /// bytes on the wire, decoded transparently by the client agent.
+  /// Emit inter-view-predicted LFZ2 containers instead of plain lfz — fewer
+  /// bytes on the wire, decoded transparently by the client.
   bool lfz2 = false;
 
   // --- Overload protection ----------------------------------------------------

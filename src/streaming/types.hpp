@@ -32,8 +32,9 @@ struct AccessRecord {
   /// agent served its cached slab by reference, one pass over the compressed
   /// payload when the bytes had to cross the network.
   std::uint64_t copied_bytes = 0;
-  /// Decompression overlapped the stripe transfers at the agent;
-  /// decompress_time then holds only the unhidden residual tail.
+  /// Always false: the client decodes every delivery whole. Kept only
+  /// because benchmark/lonbench.cpp writes it into its digest and compares
+  /// it; retire it with the next change to the benchmark.
   bool pipelined = false;
   /// Level of detail this access was served at: 0 = full resolution,
   /// higher = coarser tier (continuous LOD streaming / degradation ladder).

@@ -3,11 +3,10 @@
 //
 // Every view-set payload on the demand path lives in a slab acquired from a
 // BufferPool: LoRS assembles stripes scatter-gather directly into the slab,
-// the decompress pipeline decodes chunks in place into a second slab, and the
-// cache / Delivery / renderer alias the result by shared_ptr. Slabs are
+// and the agent cache and every Delivery alias it by shared_ptr. Slabs are
 // refcounted; when the last reference drops the backing allocation returns to
-// the pool (bounded by max_retained_bytes) instead of the heap, so a browsing
-// session reaches a steady state with no allocator traffic on the hot path.
+// the pool (bounded by max_retained_bytes) instead of the heap, so downloads
+// reach a steady state with no allocator traffic.
 //
 // The copy meter is the enforcement half: every physical payload copy the
 // demand path still performs must go through copy_payload()/

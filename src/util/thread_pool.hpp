@@ -48,8 +48,7 @@ class ThreadPool {
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& fn, std::size_t chunks = 0);
 
-  /// The process-wide shared worker pool used by the demand path (LoRS
-  /// stripe verification, the client agent's decompress pipeline, server
+  /// The process-wide shared worker pool (LoRS stripe verification, server
   /// generation and batch codec work). Sized from LON_POOL_THREADS when set,
   /// otherwise hardware concurrency. Constructed on first use and never
   /// destroyed before exit; safe to call from any thread.

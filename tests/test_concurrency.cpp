@@ -1,14 +1,11 @@
-// Concurrency tests for the parallel demand path (ISSUE 3).
+// Concurrency tests for the parallel demand path.
 //
 // Covers, in one place:
 //   - pooled LoRS stripe download is byte-for-byte AND virtual-time identical
 //     to the serial path, on clean, corrupt and short blocks alike (the
 //     determinism contract from DESIGN.md section 10);
-//   - the decompress pipeline drains cleanly: full overlap, partial stripes,
-//     stripes that bypassed on_stripe (retried blocks), corrupt chunks, and
-//     non-chunked payloads all resolve to the documented outcomes;
 //   - ViewSetCache and obs::Registry survive a thread-pool hammer with exact
-//     invariants (the satellite-4 regression tests);
+//     invariants;
 //   - batched builders (RaycastBuilder across views, Renderer across rows)
 //     produce pixels identical to their serial counterparts;
 //   - the multi-client session driver converges with no deadlock under a
@@ -16,7 +13,6 @@
 //     worker pool is attached.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <functional>
 #include <optional>
@@ -24,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "compress/lfz.hpp"
 #include "lightfield/builder.hpp"
 #include "lightfield/procedural.hpp"
 #include "lightfield/renderer.hpp"
@@ -33,7 +28,6 @@
 #include "session/experiment.hpp"
 #include "session/scenario.hpp"
 #include "streaming/cache.hpp"
-#include "streaming/pipeline.hpp"
 #include "util/thread_pool.hpp"
 #include "volume/synthetic.hpp"
 #include "volume/transfer.hpp"
@@ -171,10 +165,6 @@ TEST(ParallelDownload, PooledVerificationMatchesSerialExactly) {
 
     lors::DownloadOptions pooled_opts;
     pooled_opts.pool = &pool;
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> stripes;
-    pooled_opts.on_stripe = [&](const lors::StripeEvent& event) {
-      stripes.emplace_back(event.offset, event.length);
-    };
     const auto [pooled_result, pooled_time] = pooled.download(node_pooled, pooled_opts);
 
     // The same verdict on every block, so the same result, bytes and
@@ -186,158 +176,7 @@ TEST(ParallelDownload, PooledVerificationMatchesSerialExactly) {
     EXPECT_EQ(serial_result.status, lors::LorsStatus::kOk);
     EXPECT_EQ(*serial_result.data, data);
     EXPECT_EQ(serial_result.corruption_detected > 0, input.on_ca0 != nullptr);
-
-    // The stripe events cover the payload exactly once, no gaps, no overlap.
-    std::sort(stripes.begin(), stripes.end());
-    ASSERT_EQ(stripes.size(), pooled_result.blocks_total);
-    std::uint64_t expected_offset = 0;
-    for (const auto& [offset, length] : stripes) {
-      EXPECT_EQ(offset, expected_offset);
-      expected_offset = offset + length;
-    }
-    EXPECT_EQ(expected_offset, data.size());
   }
-}
-
-// --- decompress pipeline -----------------------------------------------------------
-
-/// Something lfz can actually compress (repeating structure), unlike random
-/// filler.
-Bytes make_compressible(std::size_t size) {
-  Bytes data(size);
-  for (std::size_t i = 0; i < size; ++i) {
-    data[i] = static_cast<std::uint8_t>((i / 97) % 251);
-  }
-  return data;
-}
-
-/// Feeds `container` to a pipeline in `stripe_bytes` slices at 1ms virtual
-/// intervals, as a LoRS download would.
-void feed_stripes(streaming::DecompressPipeline& pipeline, const Bytes& container,
-                  std::uint64_t stripe_bytes, std::size_t count_limit = SIZE_MAX) {
-  std::size_t fed = 0;
-  for (std::uint64_t offset = 0; offset < container.size() && fed < count_limit;
-       offset += stripe_bytes, ++fed) {
-    lors::StripeEvent event;
-    event.offset = offset;
-    event.length = std::min<std::uint64_t>(stripe_bytes, container.size() - offset);
-    event.buffer = &container;
-    pipeline.on_stripe(event, static_cast<SimTime>(fed + 1) * kMillisecond);
-  }
-}
-
-TEST(DecompressPipeline, OverlapsChunkDecodesWithStripeArrival) {
-  const Bytes original = make_compressible(300'000);
-  const std::uint64_t chunk_bytes = 32 * 1024;
-  const Bytes container = lfz::compress_chunked(original, chunk_bytes);
-  const std::size_t expected_chunks = (original.size() + chunk_bytes - 1) / chunk_bytes;
-
-  ThreadPool pool(4);
-  streaming::DecompressPipeline pipeline({.pool = &pool, .max_inflight = 4});
-  feed_stripes(pipeline, container, 20'000);
-
-  streaming::DecompressPipeline::Report report;
-  const auto out = pipeline.finish(container, 100 * kMillisecond, report);
-  ASSERT_TRUE(out != nullptr);
-  EXPECT_EQ(*out, original);
-  EXPECT_TRUE(report.chunked);
-  EXPECT_TRUE(report.ok);
-  EXPECT_EQ(report.chunks_total, expected_chunks);
-  // Every stripe went through on_stripe, so every chunk decode overlapped.
-  EXPECT_EQ(report.chunks_overlapped, expected_chunks);
-  EXPECT_GT(report.last_stripe_at, 0);
-
-  // Chunk arrival times are nondecreasing — the property the deterministic
-  // replay in residual_decompress_time depends on.
-  ASSERT_EQ(report.chunks.size(), expected_chunks);
-  for (std::size_t i = 1; i < report.chunks.size(); ++i) {
-    EXPECT_GE(report.chunks[i].available_at, report.chunks[i - 1].available_at);
-  }
-
-  // The replay: an infinitely fast decoder hides everything; a realistic one
-  // leaves a residual tail no larger than the full serial cost.
-  EXPECT_EQ(streaming::residual_decompress_time(report, 1e18, 4), 0);
-  std::uint64_t original_bytes = 0;
-  for (const auto& c : report.chunks) original_bytes += c.original_bytes;
-  EXPECT_EQ(original_bytes, original.size());
-  const double rate = 30e6;
-  const SimDuration serial_cost =
-      from_seconds(static_cast<double>(original_bytes) / rate);
-  const SimDuration residual = streaming::residual_decompress_time(report, rate, 4);
-  EXPECT_LE(residual, serial_cost);
-}
-
-TEST(DecompressPipeline, DrainsWhenStripesBypassedTheCallback) {
-  // Retried/failover blocks never fire on_stripe; finish() must pick them up
-  // from the completed buffer. Feed only the first three stripes.
-  const Bytes original = make_compressible(200'000);
-  const Bytes container = lfz::compress_chunked(original, 16 * 1024);
-
-  ThreadPool pool(2);
-  streaming::DecompressPipeline pipeline({.pool = &pool});
-  // The compressible pattern packs tightly, so keep the fed prefix tiny —
-  // just past the header and the first chunk or two.
-  feed_stripes(pipeline, container, 256, /*count_limit=*/2);
-
-  streaming::DecompressPipeline::Report report;
-  const auto out = pipeline.finish(container, 50 * kMillisecond, report);
-  ASSERT_TRUE(out != nullptr);
-  EXPECT_EQ(*out, original);
-  EXPECT_TRUE(report.ok);
-  EXPECT_LT(report.chunks_overlapped, report.chunks_total);
-
-  // The degenerate case: no stripe events at all (a caller that never wired
-  // the hook) still decodes, with zero overlap.
-  streaming::DecompressPipeline cold({.pool = &pool});
-  streaming::DecompressPipeline::Report cold_report;
-  const auto cold_out = cold.finish(container, kMillisecond, cold_report);
-  ASSERT_TRUE(cold_out != nullptr);
-  EXPECT_EQ(*cold_out, original);
-  EXPECT_EQ(cold_report.chunks_overlapped, 0u);
-}
-
-TEST(DecompressPipeline, FallsBackOnCorruptChunkAndNonChunkedPayload) {
-  const Bytes original = make_compressible(120'000);
-  Bytes container = lfz::compress_chunked(original, 16 * 1024);
-
-  // Flip the first body byte of the first chunk (right after the 16-byte
-  // LFZC header and the 4-byte length prefix): the chunk's lfz magic breaks
-  // and its decode throws.
-  container[16 + 4] ^= 0xff;
-  ThreadPool pool(2);
-  streaming::DecompressPipeline corrupt({.pool = &pool});
-  feed_stripes(corrupt, container, 25'000);
-  streaming::DecompressPipeline::Report report;
-  EXPECT_EQ(corrupt.finish(container, 50 * kMillisecond, report), nullptr);
-  EXPECT_TRUE(report.chunked);
-  EXPECT_FALSE(report.ok);
-
-  // A plain (non-chunked) lfz payload: the pipeline declines and reports it,
-  // so the caller charges the ordinary whole-buffer decompress.
-  const Bytes plain = lfz::compress(original);
-  streaming::DecompressPipeline passthrough({.pool = &pool});
-  feed_stripes(passthrough, plain, 25'000);
-  streaming::DecompressPipeline::Report plain_report;
-  EXPECT_EQ(passthrough.finish(plain, 50 * kMillisecond, plain_report), nullptr);
-  EXPECT_FALSE(plain_report.chunked);
-}
-
-TEST(DecompressPipeline, AbortDrainsInflightAndIgnoresLateStripes) {
-  // A failed download abandons its pipeline mid-transfer: abort() must wait
-  // out the chunk decodes already in flight, release their buffers, and turn
-  // straggling stripe callbacks from the dying transfer into no-ops.
-  const Bytes original = make_compressible(300'000);
-  const Bytes container = lfz::compress_chunked(original, 32 * 1024);
-
-  ThreadPool pool(4);
-  streaming::DecompressPipeline pipeline({.pool = &pool, .max_inflight = 4});
-  feed_stripes(pipeline, container, 20'000);
-  const std::size_t drained = pipeline.abort();
-  EXPECT_GT(drained, 0u);  // decodes were in flight and got reaped
-  // Stripes that were still queued when the attempt died land on a dead
-  // pipeline: no new decodes start, so a second abort finds nothing.
-  feed_stripes(pipeline, container, 20'000);
-  EXPECT_EQ(pipeline.abort(), 0u);
 }
 
 // --- thread-safe cache and registry (satellite 4 regressions) ----------------------
@@ -533,54 +372,6 @@ TEST(MultiClient, VirtualTimelineIndependentOfWorkerPool) {
       EXPECT_EQ(a[i].delivered, b[i].delivered);
     }
   }
-}
-
-// --- end-to-end pipelined experiment -----------------------------------------------
-
-TEST(PipelinedExperiment, OverlapOnlyShrinksDecompressCharges) {
-  session::ExperimentConfig cfg;
-  cfg.lattice = tiny_lattice(24);
-  cfg.which = session::Case::kWanStreaming;  // demand downloads hit the WAN
-  cfg.accesses = 10;
-  cfg.dwell = kSecond;
-  cfg.client.display_resolution = 24;
-  cfg.client.timing = streaming::ClientConfig::Timing::kModeled;
-  // Chunked containers small enough that one view set spans several chunks.
-  cfg.publish_chunk_bytes = 1024;
-
-  const session::ExperimentResult serial = session::run_experiment(cfg);
-
-  session::ExperimentConfig pipelined_cfg = cfg;
-  ThreadPool pool(4);
-  pipelined_cfg.pool = &pool;
-  pipelined_cfg.agent.pipeline_decompress = true;
-  pipelined_cfg.agent.pipeline_inflight = 4;
-  const session::ExperimentResult pipelined = session::run_experiment(pipelined_cfg);
-
-  EXPECT_EQ(serial.failed_accesses, 0u);
-  EXPECT_EQ(pipelined.failed_accesses, 0u);
-
-  // The request stream is script-driven, so both runs ask for the same view
-  // sets in the same order regardless of how latencies shifted.
-  ASSERT_EQ(pipelined.accesses.size(), serial.accesses.size());
-  SimDuration serial_decompress = 0;
-  SimDuration pipelined_decompress = 0;
-  std::size_t overlapped = 0;
-  for (std::size_t i = 0; i < pipelined.accesses.size(); ++i) {
-    EXPECT_EQ(pipelined.accesses[i].id, serial.accesses[i].id);
-    EXPECT_FALSE(serial.accesses[i].pipelined);
-    serial_decompress += serial.accesses[i].decompress_time;
-    pipelined_decompress += pipelined.accesses[i].decompress_time;
-    if (pipelined.accesses[i].pipelined) ++overlapped;
-  }
-  // At least the demand misses went through the pipeline, and overlap never
-  // makes the charged decompression larger.
-  EXPECT_GE(overlapped, 1u);
-  EXPECT_LE(pipelined_decompress, serial_decompress);
-  ASSERT_NE(pipelined.obs, nullptr);
-  EXPECT_EQ(pipelined.obs->metrics.counter_total("session.pipelined"),
-            static_cast<std::uint64_t>(overlapped));
-  EXPECT_EQ(serial.obs->metrics.counter_total("session.pipelined"), 0u);
 }
 
 }  // namespace
