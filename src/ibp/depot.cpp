@@ -3,7 +3,23 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "util/buffer_pool.hpp"
+
 namespace lon::ibp {
+
+void Snapshot::copy_to(std::uint8_t* dst) const {
+  if (buffer) {
+    util::copy_payload(dst, data(), length);
+  } else {
+    std::fill_n(dst, length, std::uint8_t{0});
+  }
+}
+
+Bytes Snapshot::to_bytes() const {
+  if (!buffer) return Bytes(length, 0);
+  util::account_payload_copy(length);
+  return Bytes(data(), data() + length);
+}
 
 const char* to_string(IbpStatus status) {
   switch (status) {
@@ -63,7 +79,6 @@ Depot::AllocResult Depot::allocate(const AllocRequest& request) {
   alloc.expires = sim_.now() + request.lease;
   alloc.type = request.type;
   alloc.last_access = sim_.now();
-  alloc.data.assign(request.size, 0);
 
   used_ += request.size;
   ++stats_.allocations_made;
@@ -83,12 +98,7 @@ Depot::AllocResult Depot::allocate(const AllocRequest& request) {
   return result;
 }
 
-IbpStatus Depot::find(const Capability& cap, CapKind required, const Allocation** out) const {
-  return const_cast<Depot*>(this)->find_mutable(cap, required,
-                                                const_cast<Allocation**>(out));
-}
-
-IbpStatus Depot::find_mutable(const Capability& cap, CapKind required, Allocation** out) {
+IbpStatus Depot::find(const Capability& cap, CapKind required, Allocation** out) {
   *out = nullptr;
   if (cap.depot != name_) return IbpStatus::kBadCapability;
   if (cap.kind != required) return IbpStatus::kBadCapability;
@@ -111,36 +121,65 @@ IbpStatus Depot::find_mutable(const Capability& cap, CapKind required, Allocatio
 }
 
 IbpStatus Depot::store(const Capability& write_cap, std::uint64_t offset,
-                       std::span<const std::uint8_t> data) {
+                       const Snapshot& data) {
   Allocation* alloc = nullptr;
-  if (const IbpStatus s = find_mutable(write_cap, CapKind::kWrite, &alloc);
-      s != IbpStatus::kOk) {
+  if (const IbpStatus s = find(write_cap, CapKind::kWrite, &alloc); s != IbpStatus::kOk) {
     return s;
   }
-  if (offset > alloc->size || data.size() > alloc->size - offset) {
+  if (offset > alloc->size || data.length > alloc->size - offset) {
     return IbpStatus::kBadRange;
   }
-  std::copy(data.begin(), data.end(), alloc->data.begin() + static_cast<long>(offset));
-  alloc->high_water = std::max<std::uint64_t>(alloc->high_water, offset + data.size());
-  stats_.bytes_stored += data.size();
+  const bool whole_buffer =
+      data.offset == 0 && (!data.buffer || data.buffer->size() == data.length);
+  if (offset == 0 && data.length == alloc->size && whole_buffer) {
+    alloc->data = data.buffer;
+  } else if (data.length > 0) {
+    // Copy-on-write: snapshots of the old buffer keep seeing the old bytes.
+    std::shared_ptr<Bytes> next;
+    if (alloc->data) {
+      next = std::make_shared<Bytes>(*alloc->data);
+      util::account_payload_copy(alloc->size);
+    } else {
+      next = std::make_shared<Bytes>(alloc->size, 0);
+    }
+    data.copy_to(next->data() + offset);
+    alloc->data = std::move(next);
+  }
+  alloc->high_water = std::max<std::uint64_t>(alloc->high_water, offset + data.length);
+  stats_.bytes_stored += data.length;
   return IbpStatus::kOk;
 }
 
+IbpStatus Depot::store(const Capability& write_cap, std::uint64_t offset,
+                       std::span<const std::uint8_t> data) {
+  util::account_payload_copy(data.size());
+  return store(write_cap, offset,
+               Snapshot{std::make_shared<Bytes>(data.begin(), data.end()), 0,
+                        data.size()});
+}
+
 IbpStatus Depot::load(const Capability& read_cap, std::uint64_t offset, std::uint64_t length,
-                      Bytes& out) const {
-  const Allocation* alloc = nullptr;
+                      Snapshot& out) {
+  Allocation* alloc = nullptr;
   if (const IbpStatus s = find(read_cap, CapKind::kRead, &alloc); s != IbpStatus::kOk) {
     return s;
   }
   if (offset > alloc->size || length > alloc->size - offset) return IbpStatus::kBadRange;
-  out.assign(alloc->data.begin() + static_cast<long>(offset),
-             alloc->data.begin() + static_cast<long>(offset + length));
-  const_cast<Depot*>(this)->stats_.bytes_loaded += length;
+  out = Snapshot{alloc->data, offset, length};
+  stats_.bytes_loaded += length;
   return IbpStatus::kOk;
 }
 
-IbpStatus Depot::probe(const Capability& manage_cap, AllocInfo& out) const {
-  const Allocation* alloc = nullptr;
+IbpStatus Depot::load(const Capability& read_cap, std::uint64_t offset, std::uint64_t length,
+                      Bytes& out) {
+  Snapshot snapshot;
+  const IbpStatus status = load(read_cap, offset, length, snapshot);
+  if (status == IbpStatus::kOk) out = snapshot.to_bytes();
+  return status;
+}
+
+IbpStatus Depot::probe(const Capability& manage_cap, AllocInfo& out) {
+  Allocation* alloc = nullptr;
   if (const IbpStatus s = find(manage_cap, CapKind::kManage, &alloc); s != IbpStatus::kOk) {
     return s;
   }
@@ -153,8 +192,7 @@ IbpStatus Depot::probe(const Capability& manage_cap, AllocInfo& out) const {
 
 IbpStatus Depot::extend(const Capability& manage_cap, SimDuration extra) {
   Allocation* alloc = nullptr;
-  if (const IbpStatus s = find_mutable(manage_cap, CapKind::kManage, &alloc);
-      s != IbpStatus::kOk) {
+  if (const IbpStatus s = find(manage_cap, CapKind::kManage, &alloc); s != IbpStatus::kOk) {
     return s;
   }
   if (extra <= 0 || extra > config_.max_lease) return IbpStatus::kRefused;
@@ -164,8 +202,7 @@ IbpStatus Depot::extend(const Capability& manage_cap, SimDuration extra) {
 
 IbpStatus Depot::release(const Capability& manage_cap) {
   Allocation* alloc = nullptr;
-  if (const IbpStatus s = find_mutable(manage_cap, CapKind::kManage, &alloc);
-      s != IbpStatus::kOk) {
+  if (const IbpStatus s = find(manage_cap, CapKind::kManage, &alloc); s != IbpStatus::kOk) {
     return s;
   }
   const std::uint64_t id = alloc->id;

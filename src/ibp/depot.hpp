@@ -12,12 +12,21 @@
 //  * *soft* allocations can be revoked at any moment to make room for new
 //    requests, which is what makes idle resources safely shareable.
 //
+// Storage is copy-on-write. An allocation's bytes are one immutable,
+// reference-counted buffer, null (reading as zeros) until the first store.
+// A load hands out a Snapshot that shares the buffer instead of copying it; a
+// store covering the whole allocation adopts the caller's buffer, and any
+// other store clones before writing, so a snapshot never changes. Capacity
+// stays logical: an allocation charges its full size to bytes_used() however
+// many allocations share its buffer (DESIGN.md section 16).
+//
 // The depot itself is purely local state plus the virtual clock; all
 // network-visible operations go through ibp::Fabric.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -66,12 +75,31 @@ struct AllocRequest {
   AllocType type = AllocType::kHard;
 };
 
-/// Snapshot returned by probe().
+/// Metadata returned by probe().
 struct AllocInfo {
   std::uint64_t size = 0;
   std::uint64_t bytes_written = 0;  ///< high-water mark of stored data
   SimTime expires = 0;
   AllocType type = AllocType::kHard;
+};
+
+/// `length` bytes of an allocation as they stood when load() served them.
+/// It shares the allocation's buffer, which no later store modifies, so it
+/// stays valid after the allocation is rewritten, released or revoked.
+struct Snapshot {
+  std::shared_ptr<const Bytes> buffer;  ///< null: never written, reads as zeros
+  std::uint64_t offset = 0;             ///< start of the range within buffer
+  std::uint64_t length = 0;
+
+  /// The first byte of the range, or nullptr when it reads as zeros.
+  [[nodiscard]] const std::uint8_t* data() const {
+    return buffer ? buffer->data() + offset : nullptr;
+  }
+
+  /// Writes the range to dst[0, length), through the payload-copy meter.
+  void copy_to(std::uint8_t* dst) const;
+  /// A private, metered copy of the range.
+  [[nodiscard]] Bytes to_bytes() const;
 };
 
 struct DepotStats {
@@ -104,16 +132,25 @@ class Depot {
   };
   AllocResult allocate(const AllocRequest& request);
 
-  /// Writes data at the given offset (must lie within the allocation).
+  /// Writes data at the given offset (must lie within the allocation). When
+  /// data is a whole buffer that covers the whole allocation, the allocation
+  /// adopts that buffer without copying; any other store clones the
+  /// allocation's buffer and writes into the clone, so no earlier snapshot
+  /// changes.
+  IbpStatus store(const Capability& write_cap, std::uint64_t offset, const Snapshot& data);
+  /// Copying form (wire protocol, tests): stores a private copy of data.
   IbpStatus store(const Capability& write_cap, std::uint64_t offset,
                   std::span<const std::uint8_t> data);
 
-  /// Reads length bytes at offset into out.
+  /// Serves length bytes at offset as a snapshot of the allocation's buffer.
   IbpStatus load(const Capability& read_cap, std::uint64_t offset, std::uint64_t length,
-                 Bytes& out) const;
+                 Snapshot& out);
+  /// Copying form (wire protocol, tests): reads the bytes into out.
+  IbpStatus load(const Capability& read_cap, std::uint64_t offset, std::uint64_t length,
+                 Bytes& out);
 
   /// Queries allocation metadata.
-  IbpStatus probe(const Capability& manage_cap, AllocInfo& out) const;
+  IbpStatus probe(const Capability& manage_cap, AllocInfo& out);
 
   /// Renews the lease to now + extra (subject to the admission duration cap).
   IbpStatus extend(const Capability& manage_cap, SimDuration extra);
@@ -137,15 +174,14 @@ class Depot {
     SimTime expires = 0;
     AllocType type = AllocType::kHard;
     SimTime last_access = 0;
-    Bytes data;
+    std::shared_ptr<const Bytes> data;  ///< `size` bytes, or null (all zeros)
     std::uint64_t high_water = 0;
   };
 
-  /// Looks up an allocation, verifying key + rights. Reclaims it lazily if
-  /// the lease expired (in which case kExpired is returned). `tombstone`
-  /// receives kRevoked for allocations revoked under pressure.
-  IbpStatus find(const Capability& cap, CapKind required, const Allocation** out) const;
-  IbpStatus find_mutable(const Capability& cap, CapKind required, Allocation** out);
+  /// Looks up an allocation, verifying key + rights, and stamps its access
+  /// time. Reclaims it lazily if the lease expired (returning kExpired);
+  /// reports kRevoked for allocations revoked under pressure.
+  IbpStatus find(const Capability& cap, CapKind required, Allocation** out);
 
   /// Frees soft allocations (oldest access first) until `needed` bytes fit.
   /// Returns true on success.

@@ -1,7 +1,6 @@
 #include "ibp/service.hpp"
 
 #include "ibp/protocol.hpp"
-#include "util/buffer_pool.hpp"
 
 #include <memory>
 #include <stdexcept>
@@ -61,6 +60,16 @@ bool Fabric::dropped(const std::string& depot) {
     return true;
   }
   return false;
+}
+
+void Fabric::run_corrupt_hook(const std::string& depot, Snapshot& payload) {
+  if (!corrupt_) return;
+  // Silent corruption happens here: the depot believes it served the bytes
+  // it stored. The hook edits a private copy, which may change its length.
+  Bytes served = payload.to_bytes();
+  corrupt_(depot, served);
+  const std::uint64_t length = served.size();
+  payload = Snapshot{std::make_shared<Bytes>(std::move(served)), 0, length};
 }
 
 SimDuration Fabric::book_disk(Hosted& hosted, std::uint64_t bytes) {
@@ -135,10 +144,12 @@ void Fabric::store_async(sim::NodeId client, const Capability& write_cap,
     return;
   }
   // The payload is a bulk flow from the client to the depot; the store
-  // executes when the final byte lands.
-  auto payload = std::make_shared<Bytes>(std::move(data));
+  // executes when the final byte lands. The depot keeps the moved-in buffer
+  // itself when the store covers the whole allocation.
+  const std::uint64_t length = data.size();
+  const Snapshot payload{std::make_shared<Bytes>(std::move(data)), 0, length};
   net_.start_transfer(
-      client, hosted.node, payload->size(), net_options,
+      client, hosted.node, length, net_options,
       [this, client, &hosted, write_cap, offset, payload,
        cb = std::move(cb)](const sim::TransferResult& r) {
         if (r.cancelled || hosted.offline) {
@@ -146,9 +157,9 @@ void Fabric::store_async(sim::NodeId client, const Capability& write_cap,
           return;
         }
         // The write queues behind whatever the depot disk is already doing.
-        const SimDuration disk = book_disk(hosted, payload->size());
+        const SimDuration disk = book_disk(hosted, payload.length);
         sim_.after(disk, [this, client, &hosted, write_cap, offset, payload, cb] {
-          const IbpStatus status = hosted.depot.store(write_cap, offset, *payload);
+          const IbpStatus status = hosted.depot.store(write_cap, offset, payload);
           reply_to(hosted.node, client, [status, cb] { cb(status); });
         });
       });
@@ -174,18 +185,15 @@ void Fabric::load_async(sim::NodeId client, const Capability& read_cap,
                reply_to(hosted.node, client, [cb] { cb(IbpStatus::kRefused, Bytes{}); });
                return;
              }
-             Bytes data;
-             const IbpStatus status = hosted.depot.load(read_cap, offset, length, data);
+             Snapshot payload;
+             const IbpStatus status = hosted.depot.load(read_cap, offset, length, payload);
              if (status != IbpStatus::kOk) {
                reply_to(hosted.node, client, [status, cb] { cb(status, Bytes{}); });
                return;
              }
-             // Silent corruption happens here: the depot believes it served
-             // the bytes it stored.
-             if (corrupt_) corrupt_(read_cap.depot, data);
-             auto payload = std::make_shared<Bytes>(std::move(data));
+             run_corrupt_hook(read_cap.depot, payload);
              // The read waits its turn on the depot disk before streaming.
-             const SimDuration disk = book_disk(hosted, payload->size());
+             const SimDuration disk = book_disk(hosted, payload.length);
              sim_.after(disk, [this, client, &hosted, payload, opts, cb] {
                if (!net_.reachable(hosted.node, client)) {
                  metrics_.requests_lost.inc();
@@ -194,13 +202,13 @@ void Fabric::load_async(sim::NodeId client, const Capability& read_cap,
                // The request leg above already served as connection setup.
                sim::TransferOptions flow = opts;
                flow.handshake = false;
-               net_.start_transfer(hosted.node, client, payload->size(), flow,
+               net_.start_transfer(hosted.node, client, payload.length, flow,
                                    [payload, cb](const sim::TransferResult& r) {
                                      if (r.cancelled) {
                                        cb(IbpStatus::kRefused, Bytes{});
                                        return;
                                      }
-                                     cb(IbpStatus::kOk, std::move(*payload));
+                                     cb(IbpStatus::kOk, payload.to_bytes());
                                    });
              });
            });
@@ -227,18 +235,15 @@ void Fabric::load_async(sim::NodeId client, const Capability& read_cap,
                reply_to(hosted.node, client, [cb] { cb(IbpStatus::kRefused, 0); });
                return;
              }
-             Bytes data;
-             const IbpStatus status = hosted.depot.load(read_cap, offset, length, data);
+             Snapshot payload;
+             const IbpStatus status = hosted.depot.load(read_cap, offset, length, payload);
              if (status != IbpStatus::kOk) {
                reply_to(hosted.node, client, [status, cb] { cb(status, 0); });
                return;
              }
-             // Silent corruption happens here: the depot believes it served
-             // the bytes it stored.
-             if (corrupt_) corrupt_(read_cap.depot, data);
-             auto payload = std::make_shared<Bytes>(std::move(data));
+             run_corrupt_hook(read_cap.depot, payload);
              // The read waits its turn on the depot disk before streaming.
-             const SimDuration disk = book_disk(hosted, payload->size());
+             const SimDuration disk = book_disk(hosted, payload.length);
              sim_.after(disk, [this, client, &hosted, payload, opts, dest, dest_offset, cb] {
                if (!net_.reachable(hosted.node, client)) {
                  metrics_.requests_lost.inc();
@@ -248,18 +253,17 @@ void Fabric::load_async(sim::NodeId client, const Capability& read_cap,
                sim::TransferOptions flow = opts;
                flow.handshake = false;
                net_.start_transfer(
-                   hosted.node, client, payload->size(), flow,
+                   hosted.node, client, payload.length, flow,
                    [payload, dest, dest_offset, cb](const sim::TransferResult& r) {
                      // Written so it cannot wrap: an extent offset near
                      // 2^64 must not land before the slab.
                      if (r.cancelled || dest_offset > dest->size() ||
-                         payload->size() > dest->size() - dest_offset) {
+                         payload.length > dest->size() - dest_offset) {
                        cb(IbpStatus::kRefused, 0);
                        return;
                      }
-                     util::copy_payload(dest->data() + dest_offset, payload->data(),
-                                        payload->size());
-                     cb(IbpStatus::kOk, payload->size());
+                     payload.copy_to(dest->data() + dest_offset);
+                     cb(IbpStatus::kOk, payload.length);
                    });
              });
            });
@@ -375,9 +379,9 @@ void Fabric::copy_async(sim::NodeId client, const CopyRequest& request,
           reply_to(src.node, client, [cb] { cb(IbpStatus::kRefused, kNoCaps); });
           return;
         }
-        Bytes data;
+        Snapshot payload;
         const IbpStatus status =
-            src.depot.load(request.src_read, request.src_offset, request.length, data);
+            src.depot.load(request.src_read, request.src_offset, request.length, payload);
         if (status != IbpStatus::kOk) {
           reply_to(src.node, client, [status, cb] { cb(status, kNoCaps); });
           return;
@@ -386,9 +390,9 @@ void Fabric::copy_async(sim::NodeId client, const CopyRequest& request,
         // the data path ("third party communication without consuming
         // resources on either the client or the client agent"). The source
         // disk must read the bytes first; the destination disk writes them
-        // after arrival — both queue FIFO on their depot's disk.
-        auto payload = std::make_shared<Bytes>(std::move(data));
-        const SimDuration src_disk = book_disk(src, payload->size());
+        // after arrival — both queue FIFO on their depot's disk. The
+        // destination allocation then shares the source's buffer.
+        const SimDuration src_disk = book_disk(src, payload.length);
         sim_.after(src_disk, [this, client, &src, &dst, request, caps, payload,
                               cb = std::move(cb)]() mutable {
           if (!net_.reachable(src.node, dst.node)) {
@@ -396,16 +400,16 @@ void Fabric::copy_async(sim::NodeId client, const CopyRequest& request,
             return;
           }
           net_.start_transfer(
-              src.node, dst.node, payload->size(), request.net,
+              src.node, dst.node, payload.length, request.net,
               [this, client, &dst, caps, payload,
                cb = std::move(cb)](const sim::TransferResult& r) {
                 if (r.cancelled) {
                   cb(IbpStatus::kRefused, kNoCaps);
                   return;
                 }
-                const SimDuration dst_disk = book_disk(dst, payload->size());
+                const SimDuration dst_disk = book_disk(dst, payload.length);
                 sim_.after(dst_disk, [this, client, &dst, caps, payload, cb] {
-                  const IbpStatus status = dst.depot.store(caps.write, 0, *payload);
+                  const IbpStatus status = dst.depot.store(caps.write, 0, payload);
                   // Step 4: completion ack to the orchestrating client.
                   reply_to(dst.node, client, [status, caps, cb] { cb(status, caps); });
                 });

@@ -62,7 +62,10 @@ class Fabric {
 
   /// Fault-injection hook: mutate bytes as they leave `depot` on a load —
   /// silent on-the-wire/at-rest corruption. Detection is the job of the
-  /// layers above (LoRS block checksums).
+  /// layers above (LoRS block checksums). While a hook is installed every
+  /// load hands it a private, metered copy of the served range and serves
+  /// whatever the hook leaves there (it may change the length); the stored
+  /// bytes are never touched, so clearing the hook serves them intact again.
   using CorruptHook = std::function<void(const std::string& depot, Bytes& data)>;
   void set_corrupt_hook(CorruptHook hook) { corrupt_ = std::move(hook); }
 
@@ -96,13 +99,17 @@ class Fabric {
 
   using StoreCallback = std::function<void(IbpStatus)>;
   /// Uploads `data` into an existing allocation: bulk flow client -> depot.
+  /// When `data` covers the whole allocation the depot keeps the moved-in
+  /// buffer itself; otherwise it writes into a copy-on-write clone.
   void store_async(sim::NodeId client, const Capability& write_cap, std::uint64_t offset,
                    Bytes data, const sim::TransferOptions& net_options,
                    StoreCallback on_done);
 
   using LoadCallback = std::function<void(IbpStatus, Bytes)>;
   /// Downloads bytes from an allocation: request to depot, bulk flow
-  /// depot -> client.
+  /// depot -> client. The depot serves a snapshot of the allocation taken
+  /// when the request arrives; the Bytes handed to `on_done` are one metered
+  /// delivery copy of it.
   void load_async(sim::NodeId client, const Capability& read_cap, std::uint64_t offset,
                   std::uint64_t length, const sim::TransferOptions& net_options,
                   LoadCallback on_done);
@@ -111,12 +118,12 @@ class Fabric {
   /// Scatter-gather variant: the loaded bytes land directly at
   /// dest->data() + dest_offset (which must already cover `length` bytes) —
   /// the model of a NIC delivering into a caller-owned slab. Depot-side
-  /// semantics (disk queue, corruption hook, offline behaviour) are identical
-  /// to the Bytes-returning overload; the single client-side landing pass is
-  /// the one payload copy of a download and is charged to the payload-copy
-  /// meter. The callback reports how many bytes landed (0 on failure). The
-  /// destination is written only on success, and only on the simulator
-  /// thread.
+  /// semantics (snapshot, disk queue, corruption hook, offline behaviour) are
+  /// identical to the Bytes-returning overload; the single client-side
+  /// landing pass, straight from the depot's buffer, is the one payload copy
+  /// of a download and is charged to the payload-copy meter. The callback
+  /// reports how many bytes landed (0 on failure). The destination is written
+  /// only on success, and only on the simulator thread.
   void load_async(sim::NodeId client, const Capability& read_cap, std::uint64_t offset,
                   std::uint64_t length, const sim::TransferOptions& net_options,
                   std::shared_ptr<Bytes> dest, std::uint64_t dest_offset,
@@ -148,6 +155,9 @@ class Fabric {
   /// Third-party copy, orchestrated from `client`: allocate on dst, command
   /// src to push, bulk flow src-depot -> dst-depot, ack to client. The
   /// callback receives the capability set of the new destination allocation.
+  /// A copy of a whole source allocation into an allocation of the same size
+  /// shares the source's buffer, copy-on-write: a later store into either
+  /// allocation leaves the other's bytes unchanged.
   using CopyCallback = std::function<void(IbpStatus, const CapabilitySet&)>;
   void copy_async(sim::NodeId client, const CopyRequest& request, CopyCallback on_done);
 
@@ -174,6 +184,10 @@ class Fabric {
 
   /// Rolls the fault-injection drop hook for one request.
   [[nodiscard]] bool dropped(const std::string& depot);
+
+  /// Runs the corrupt hook, if one is installed, on a private copy of the
+  /// range `depot` is serving, and serves that copy instead.
+  void run_corrupt_hook(const std::string& depot, Snapshot& payload);
 
   /// Wraps `cb` so that whichever fires first wins: the real completion or a
   /// timeout event reporting kTimeout via `on_timeout`. With timeout <= 0 the

@@ -1,8 +1,9 @@
 // Unit tests for IBP: capability encoding, depot storage semantics (leases,
-// admission control, soft revocation) and network-facing fabric operations
-// including third-party copy.
+// admission control, soft revocation, copy-on-write buffer sharing) and
+// network-facing fabric operations including third-party copy.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -235,6 +236,40 @@ TEST_F(DepotTest, StatsAccumulate) {
   EXPECT_EQ(depot_.stats().bytes_loaded, 2u);
 }
 
+// --- copy-on-write storage -----------------------------------------------------
+
+TEST_F(DepotTest, SnapshotKeepsItsBytesAcrossALaterStore) {
+  const auto caps = must_allocate(4);
+  ASSERT_EQ(depot_.store(caps.write, 0, Bytes{1, 2, 3, 4}), IbpStatus::kOk);
+  Snapshot before;
+  ASSERT_EQ(depot_.load(caps.read, 0, 4, before), IbpStatus::kOk);
+
+  ASSERT_EQ(depot_.store(caps.write, 1, Bytes{9}), IbpStatus::kOk);
+  ASSERT_EQ(depot_.store(caps.write, 0, Bytes{7, 7, 7, 7}), IbpStatus::kOk);
+  EXPECT_EQ(before.to_bytes(), (Bytes{1, 2, 3, 4}));
+  Bytes now;
+  ASSERT_EQ(depot_.load(caps.read, 0, 4, now), IbpStatus::kOk);
+  EXPECT_EQ(now, (Bytes{7, 7, 7, 7}));
+}
+
+TEST_F(DepotTest, UnwrittenBytesReadAsZeros) {
+  const auto fresh = must_allocate(8);
+  Snapshot never_written;
+  ASSERT_EQ(depot_.load(fresh.read, 2, 5, never_written), IbpStatus::kOk);
+  EXPECT_EQ(never_written.data(), nullptr);
+  Bytes landed(5, 0xff);
+  never_written.copy_to(landed.data());
+  EXPECT_EQ(landed, Bytes(5, 0));
+  Bytes out;
+  ASSERT_EQ(depot_.load(fresh.read, 0, 8, out), IbpStatus::kOk);
+  EXPECT_EQ(out, Bytes(8, 0));
+
+  const auto partial = must_allocate(8);
+  ASSERT_EQ(depot_.store(partial.write, 3, Bytes{5, 6}), IbpStatus::kOk);
+  ASSERT_EQ(depot_.load(partial.read, 0, 8, out), IbpStatus::kOk);
+  EXPECT_EQ(out, (Bytes{0, 0, 0, 5, 6, 0, 0, 0}));
+}
+
 // --- fabric ---------------------------------------------------------------------
 
 class FabricTest : public ::testing::Test {
@@ -265,6 +300,47 @@ class FabricTest : public ::testing::Test {
     sim_.run();
     EXPECT_TRUE(caps.has_value());
     return *caps;
+  }
+
+  void store_remote(const Capability& write_cap, std::uint64_t offset, Bytes data) {
+    std::optional<IbpStatus> stored;
+    fabric_.store_async(client_, write_cap, offset, std::move(data), {},
+                        [&](IbpStatus s) { stored = s; });
+    sim_.run();
+    EXPECT_EQ(stored, IbpStatus::kOk);
+  }
+
+  // Third-party copy of a whole WAN allocation into a new LAN allocation.
+  CapabilitySet copy_to_lan(const Capability& src_read, std::uint64_t length) {
+    Fabric::CopyRequest req;
+    req.src_read = src_read;
+    req.dst_depot = "lan";
+    req.length = length;
+    req.dst_alloc = {length, 3600 * kSecond, AllocType::kHard};
+    std::optional<CapabilitySet> dst;
+    fabric_.copy_async(client_, req, [&](IbpStatus s, const CapabilitySet& caps) {
+      EXPECT_EQ(s, IbpStatus::kOk);
+      dst = caps;
+    });
+    sim_.run();
+    EXPECT_TRUE(dst.has_value());
+    return dst.value_or(CapabilitySet{});
+  }
+
+  static Snapshot snapshot(Depot& depot, const Capability& read_cap, std::uint64_t length) {
+    Snapshot out;
+    EXPECT_EQ(depot.load(read_cap, 0, length, out), IbpStatus::kOk);
+    return out;
+  }
+
+  Bytes load_remote(const Capability& read_cap, std::uint64_t length) {
+    Bytes loaded;
+    fabric_.load_async(client_, read_cap, 0, length, {}, [&](IbpStatus s, Bytes data) {
+      EXPECT_EQ(s, IbpStatus::kOk);
+      loaded = std::move(data);
+    });
+    sim_.run();
+    return loaded;
   }
 
   sim::Simulator sim_;
@@ -471,6 +547,76 @@ TEST_F(FabricTest, DiskContentionDelaysConcurrentReads) {
   sim_.run_until(sim_.now() + 250 * kMillisecond);
   const SimDuration busy_read = timed_read();
   EXPECT_GT(busy_read, 2 * idle_read);
+}
+
+TEST_F(FabricTest, WholeAllocationStoreKeepsTheMovedInBuffer) {
+  const auto caps = remote_allocate("wan", 4096);
+  Bytes payload(4096, 0x3c);
+  const std::uint8_t* moved_in = payload.data();
+  store_remote(caps.write, 0, std::move(payload));
+  EXPECT_EQ(snapshot(*wan_, caps.read, 4096).data(), moved_in);
+}
+
+TEST_F(FabricTest, ThirdPartyCopySharesTheSourceBuffer) {
+  const auto src = remote_allocate("wan", 4096);
+  store_remote(src.write, 0, Bytes(4096, 0x5a));
+  const auto dst = copy_to_lan(src.read, 4096);
+  const Snapshot src_bytes = snapshot(*wan_, src.read, 4096);
+  ASSERT_NE(src_bytes.buffer, nullptr);
+  EXPECT_EQ(snapshot(*lan_, dst.read, 4096).buffer, src_bytes.buffer);
+  // Capacity stays logical: each allocation charges its full size.
+  EXPECT_EQ(wan_->bytes_used(), 4096u);
+  EXPECT_EQ(lan_->bytes_used(), 4096u);
+}
+
+TEST_F(FabricTest, PartialStoreIntoASharedBufferClonesIt) {
+  const auto src = remote_allocate("wan", 4096);
+  store_remote(src.write, 0, Bytes(4096, 0x5a));
+  const auto dst = copy_to_lan(src.read, 4096);
+  const std::uint8_t* shared = snapshot(*wan_, src.read, 4096).data();
+
+  store_remote(dst.write, 100, Bytes(8, 0xee));
+  const Snapshot src_after = snapshot(*wan_, src.read, 4096);
+  EXPECT_EQ(src_after.data(), shared);
+  EXPECT_EQ(src_after.to_bytes(), Bytes(4096, 0x5a));
+  const Snapshot dst_after = snapshot(*lan_, dst.read, 4096);
+  EXPECT_NE(dst_after.data(), shared);
+  Bytes want(4096, 0x5a);
+  std::fill_n(want.begin() + 100, 8, 0xee);
+  EXPECT_EQ(dst_after.to_bytes(), want);
+}
+
+TEST_F(FabricTest, CopiedAllocationsAreIsolatedFromEachOthersStores) {
+  const auto src = remote_allocate("wan", 64);
+  store_remote(src.write, 0, Bytes(64, 0x11));
+  const auto dst = copy_to_lan(src.read, 64);
+
+  store_remote(dst.write, 0, Bytes(32, 0x33));  // partial store
+  EXPECT_EQ(load_remote(src.read, 64), Bytes(64, 0x11));
+  store_remote(src.write, 0, Bytes(64, 0x22));  // whole-allocation store
+  Bytes want(64, 0x11);
+  std::fill_n(want.begin(), 32, 0x33);
+  EXPECT_EQ(load_remote(dst.read, 64), want);
+  EXPECT_EQ(load_remote(src.read, 64), Bytes(64, 0x22));
+}
+
+TEST_F(FabricTest, CorruptHookFlipsAPrivateCopyOnly) {
+  const auto caps = remote_allocate("lan", 16);
+  const Bytes stored(16, 0x40);
+  store_remote(caps.write, 0, stored);
+
+  fabric_.set_corrupt_hook([](const std::string&, Bytes& b) { b[3] ^= 0x01; });
+  Bytes flipped = stored;
+  flipped[3] ^= 0x01;
+  EXPECT_EQ(load_remote(caps.read, 16), flipped);
+  auto slab = std::make_shared<Bytes>(16, 0);
+  fabric_.load_async(client_, caps.read, 0, 16, {}, slab, 0,
+                     [](IbpStatus s, std::size_t) { EXPECT_EQ(s, IbpStatus::kOk); });
+  sim_.run();
+  EXPECT_EQ(*slab, flipped);
+
+  fabric_.set_corrupt_hook(nullptr);
+  EXPECT_EQ(load_remote(caps.read, 16), stored);
 }
 
 TEST_F(FabricTest, DuplicateDepotNameThrows) {
