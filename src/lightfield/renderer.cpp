@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 namespace lon::lightfield {
 
@@ -28,12 +29,22 @@ render::Rgb8 bilinear_fetch(const render::ImageRGB8& image, double x, double y) 
 
 Renderer::Renderer(const LatticeConfig& config) : lattice_(config) {}
 
-void Renderer::add_view_set(ViewSet vs) {
-  const ViewSetId id = vs.id();
+void Renderer::add_view_set(const ViewSetId& id, std::shared_ptr<const ViewSet> vs) {
+  if (vs == nullptr) throw std::invalid_argument("Renderer::add_view_set: null view set");
   loaded_.insert_or_assign(id, std::move(vs));
 }
 
+void Renderer::add_view_set(ViewSet vs) {
+  const ViewSetId id = vs.id();
+  add_view_set(id, std::make_shared<const ViewSet>(std::move(vs)));
+}
+
 bool Renderer::remove_view_set(const ViewSetId& id) { return loaded_.erase(id) > 0; }
+
+const ViewSet* Renderer::view_set(const ViewSetId& id) const {
+  const auto it = loaded_.find(id);
+  return it == loaded_.end() ? nullptr : it->second.get();
+}
 
 const render::ImageRGB8* Renderer::find_sample(long row, long col) const {
   if (row < 0 || row >= static_cast<long>(lattice_.rows())) return nullptr;
@@ -41,10 +52,10 @@ const render::ImageRGB8* Renderer::find_sample(long row, long col) const {
   col %= cols;
   if (col < 0) col += cols;
   const int span = lattice_.config().view_set_span;
-  const ViewSetId id{static_cast<int>(row / span), static_cast<int>(col / span)};
-  const auto it = loaded_.find(id);
-  if (it == loaded_.end()) return nullptr;
-  return &it->second.view(static_cast<int>(row % span), static_cast<int>(col % span));
+  const ViewSet* vs =
+      view_set({static_cast<int>(row / span), static_cast<int>(col / span)});
+  if (vs == nullptr) return nullptr;
+  return &vs->view(static_cast<int>(row % span), static_cast<int>(col % span));
 }
 
 bool Renderer::corners(const Spherical& dir, Corner out[4]) const {

@@ -12,6 +12,7 @@
 // >30 fps on any CPU.
 #pragma once
 
+#include <memory>
 #include <unordered_map>
 
 #include "lightfield/lattice.hpp"
@@ -25,8 +26,12 @@ class Renderer {
 
   [[nodiscard]] const SphericalLattice& lattice() const { return lattice_; }
 
-  /// Makes a view set available for rendering (the client keeps the current
-  /// set plus optionally a few neighbours).
+  /// Makes a view set available for rendering under `id` (the client keeps
+  /// the current set plus optionally a few neighbours). The set is shared,
+  /// not copied: one set may be installed under several ids, here and in
+  /// other renderers. The set's own id() is not consulted.
+  void add_view_set(const ViewSetId& id, std::shared_ptr<const ViewSet> vs);
+  /// Installs `vs` under its own id.
   void add_view_set(ViewSet vs);
 
   /// Drops a cached view set; returns false if absent.
@@ -36,6 +41,8 @@ class Renderer {
   [[nodiscard]] bool has_view_set(const ViewSetId& id) const {
     return loaded_.contains(id);
   }
+  /// The set installed under `id`, or nullptr.
+  [[nodiscard]] const ViewSet* view_set(const ViewSetId& id) const;
 
   /// True when every lattice sample needed to synthesize `dir` is loaded.
   [[nodiscard]] bool can_render(const Spherical& dir) const;
@@ -62,7 +69,7 @@ class Renderer {
   [[nodiscard]] const render::ImageRGB8* find_sample(long row, long col) const;
 
   SphericalLattice lattice_;
-  std::unordered_map<ViewSetId, ViewSet, ViewSetIdHash> loaded_;
+  std::unordered_map<ViewSetId, std::shared_ptr<const ViewSet>, ViewSetIdHash> loaded_;
 };
 
 /// Bilinear fetch from an image at continuous pixel coordinates (clamped).

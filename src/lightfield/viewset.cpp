@@ -1,6 +1,8 @@
 #include "lightfield/viewset.hpp"
 
 #include <cmath>
+#include <map>
+#include <mutex>
 #include <stdexcept>
 #include <utility>
 
@@ -59,6 +61,19 @@ ViewSet::ViewSet(ViewSetId id, int span, std::size_t resolution)
   if (span < 1 || resolution < 1) throw std::invalid_argument("ViewSet: bad shape");
   views_.assign(static_cast<std::size_t>(span) * static_cast<std::size_t>(span),
                 render::ImageRGB8(resolution, resolution));
+}
+
+std::shared_ptr<const ViewSet> ViewSet::blank(int span, std::size_t resolution) {
+  static std::mutex mutex;
+  static std::map<std::pair<int, std::size_t>, std::weak_ptr<const ViewSet>> sets;
+  const std::lock_guard lock(mutex);
+  std::weak_ptr<const ViewSet>& slot = sets[{span, resolution}];
+  std::shared_ptr<const ViewSet> set = slot.lock();
+  if (set == nullptr) {
+    set = std::make_shared<const ViewSet>(ViewSetId{}, span, resolution);
+    slot = set;
+  }
+  return set;
 }
 
 const render::ImageRGB8& ViewSet::view(int row, int col) const {
@@ -152,8 +167,16 @@ ViewSet ViewSet::deserialize(const Bytes& data) {
   if (mode_byte > 2) throw DecodeError("ViewSet: unknown serialize mode");
   const auto mode = static_cast<SerializeMode>(mode_byte);
 
-  ViewSet vs(id, span, resolution);
+  // Check the claimed shape against the body before allocating it: a short
+  // forged header may claim hundreds of gigabytes. An exact match also
+  // rejects trailing bytes.
+  const std::size_t views = static_cast<std::size_t>(span) * static_cast<std::size_t>(span);
   const std::size_t filtered_size = resolution * (resolution * 3 + 1);
+  const std::size_t flag_size = mode == SerializeMode::kAdaptive ? 1 : 0;
+  if (in.remaining() != views * (filtered_size + flag_size)) {
+    throw DecodeError("ViewSet: body size does not match shape");
+  }
+  ViewSet vs(id, span, resolution);
   const std::size_t plane_size = resolution * resolution * 3;
   for (std::size_t v = 0; v < vs.views_.size(); ++v) {
     if (mode == SerializeMode::kAdaptive) {
@@ -182,7 +205,6 @@ ViewSet ViewSet::deserialize(const Bytes& data) {
       }
     }
   }
-  if (!in.done()) throw DecodeError("ViewSet: trailing bytes");
   return vs;
 }
 

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "lightfield/lattice.hpp"
@@ -38,6 +39,11 @@ class ViewSet {
   /// Creates an empty (black) view set of span x span views at the given
   /// resolution.
   ViewSet(ViewSetId id, int span, std::size_t resolution);
+
+  /// The one all-black set of this shape, id {0, 0}, shared by every caller
+  /// in the process while any of them holds it. The cache holds each set
+  /// weakly, so the last holder frees it. Thread-safe.
+  static std::shared_ptr<const ViewSet> blank(int span, std::size_t resolution);
 
   [[nodiscard]] ViewSetId id() const { return id_; }
   [[nodiscard]] int span() const { return span_; }

@@ -138,26 +138,28 @@ void Client::send_request(const lightfield::ViewSetId& id, obs::SpanId span) {
   });
 }
 
-SimDuration Client::charge_decompress(const Bytes& compressed,
-                                      const lightfield::ViewSetId& id,
-                                      lightfield::ViewSet& out) const {
+SimDuration Client::charge_decompress(
+    const Bytes& compressed, const lightfield::ViewSetId& id,
+    std::shared_ptr<const lightfield::ViewSet>& out) const {
+  const auto& cfg = renderer_.lattice().config();
   if (!config_.decode) {
-    // Install a blank set of the right shape; charge the modeled cost for
-    // the bytes that *would* be produced.
-    const auto& cfg = renderer_.lattice().config();
-    out = lightfield::ViewSet(id, cfg.view_set_span, cfg.view_resolution);
-    return static_cast<SimDuration>(static_cast<double>(out.pixel_bytes()) /
+    // Install the blank set of the right shape, which every non-decoding
+    // client shares; charge the modeled cost for the bytes that *would* be
+    // produced.
+    out = lightfield::ViewSet::blank(cfg.view_set_span, cfg.view_resolution);
+    return static_cast<SimDuration>(static_cast<double>(out->pixel_bytes()) /
                                     config_.decompress_bytes_per_sec * 1e9);
   }
-  const int span = renderer_.lattice().config().view_set_span;
   if (config_.timing == ClientConfig::Timing::kMeasured) {
     const auto start = std::chrono::steady_clock::now();
-    out = decode_requested(compressed, id, span);
+    out = std::make_shared<const lightfield::ViewSet>(
+        decode_requested(compressed, id, cfg.view_set_span));
     const auto stop = std::chrono::steady_clock::now();
     return std::chrono::duration_cast<std::chrono::nanoseconds>(stop - start).count();
   }
-  out = decode_requested(compressed, id, span);
-  return static_cast<SimDuration>(static_cast<double>(out.pixel_bytes()) /
+  out = std::make_shared<const lightfield::ViewSet>(
+      decode_requested(compressed, id, cfg.view_set_span));
+  return static_cast<SimDuration>(static_cast<double>(out->pixel_bytes()) /
                                   config_.decompress_bytes_per_sec * 1e9);
 }
 
@@ -215,7 +217,7 @@ void Client::on_delivery(const ClientAgent::Delivery& delivery) {
     return;
   }
 
-  lightfield::ViewSet vs;
+  std::shared_ptr<const lightfield::ViewSet> vs;
   SimDuration decompress_time = 0;
   bool ok = true;
   try {
@@ -233,9 +235,9 @@ void Client::on_delivery(const ClientAgent::Delivery& delivery) {
   const std::string codec_label = std::string("codec=") + codec;
   obs_.metrics.counter("codec.bytes_in", codec_label).inc(compressed.size());
   if (ok) {
-    obs_.metrics.counter("codec.bytes_out", codec_label).inc(vs.pixel_bytes());
+    obs_.metrics.counter("codec.bytes_out", codec_label).inc(vs->pixel_bytes());
     obs_.metrics.gauge("codec.ratio", codec_label)
-        .set(static_cast<double>(vs.pixel_bytes()) /
+        .set(static_cast<double>(vs->pixel_bytes()) /
              static_cast<double>(compressed.size()));
   }
   obs_.metrics.histogram("codec.decode_ns", codec_label).record(decompress_time);
@@ -256,7 +258,7 @@ void Client::on_delivery(const ClientAgent::Delivery& delivery) {
                obs_.trace.arg(request.span, "outcome",
                               ok ? to_string(final.cls) : "decode_error");
                obs_.trace.end(request.span, sim_.now());
-               if (ok) install_view_set(std::move(vs));
+               if (ok) install_view_set(request.id, std::move(vs));
                pending_.reset();
                for (auto& cb : request.callbacks) cb(ok);
                if (queued_.has_value()) {
@@ -267,9 +269,9 @@ void Client::on_delivery(const ClientAgent::Delivery& delivery) {
              });
 }
 
-void Client::install_view_set(lightfield::ViewSet vs) {
-  const lightfield::ViewSetId id = vs.id();
-  renderer_.add_view_set(std::move(vs));
+void Client::install_view_set(const lightfield::ViewSetId& id,
+                              std::shared_ptr<const lightfield::ViewSet> vs) {
+  renderer_.add_view_set(id, std::move(vs));
   resident_.push_back(id);
   while (resident_.size() > static_cast<std::size_t>(std::max(1, config_.keep_view_sets))) {
     renderer_.remove_view_set(resident_.front());

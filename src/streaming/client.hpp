@@ -14,6 +14,7 @@
 
 #include <deque>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -31,9 +32,10 @@ struct ClientConfig {
   /// Modeled decompression throughput, in *uncompressed output* bytes/s.
   /// 30 MB/s lands the 200^2..500^2 view sets in the paper's 0.15-1.8 s band.
   double decompress_bytes_per_sec = 30e6;
-  /// When false, delivered bytes are not actually decoded (a blank view set
-  /// is installed and decompression time is modeled from the view-set
-  /// geometry). For communication-latency studies over filler databases.
+  /// When false, delivered bytes are not actually decoded (the shared blank
+  /// view set of the lattice's shape is installed and decompression time is
+  /// modeled from the view-set geometry). For communication-latency studies
+  /// over filler databases.
   bool decode = true;
   sim::TransferOptions lan_net;          ///< client <-> agent transfers
 
@@ -99,14 +101,16 @@ class Client {
   void on_delivery(const ClientAgent::Delivery& delivery);
   /// Mirrors the AccessRecord into the session.* registry metrics.
   void record_access(const AccessRecord& record);
-  void install_view_set(lightfield::ViewSet vs);
+  void install_view_set(const lightfield::ViewSetId& id,
+                        std::shared_ptr<const lightfield::ViewSet> vs);
 
   /// Decodes `compressed` into `out` and returns the virtual time to charge.
-  /// Throws DecodeError on a corrupt payload, and on a view set whose id is
-  /// not `id` or whose span is not the lattice's.
-  [[nodiscard]] SimDuration charge_decompress(const Bytes& compressed,
-                                              const lightfield::ViewSetId& id,
-                                              lightfield::ViewSet& out) const;
+  /// Without decode, `out` is the process-wide blank set of the lattice's
+  /// shape. Throws DecodeError on a corrupt payload, and on a view set whose
+  /// id is not `id` or whose span is not the lattice's.
+  [[nodiscard]] SimDuration charge_decompress(
+      const Bytes& compressed, const lightfield::ViewSetId& id,
+      std::shared_ptr<const lightfield::ViewSet>& out) const;
 
   sim::Simulator& sim_;
   sim::Network& net_;

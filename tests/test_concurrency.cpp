@@ -8,6 +8,7 @@
 //     invariants;
 //   - batched builders (RaycastBuilder across views, Renderer across rows)
 //     produce pixels identical to their serial counterparts;
+//   - concurrent callers of ViewSet::blank share one set and render from it;
 //   - the multi-client session driver converges with no deadlock under a
 //     fault plan, and its virtual-time results do not depend on whether a
 //     worker pool is attached.
@@ -15,9 +16,12 @@
 
 #include <atomic>
 #include <functional>
+#include <latch>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "lightfield/builder.hpp"
@@ -298,6 +302,35 @@ TEST(BatchedGeneration, RendererRowParallelismDoesNotChangePixels) {
   const render::ImageRGB8 serial = renderer.render(dir, 64);
   const render::ImageRGB8 pooled = renderer.render(dir, 64, 1.0, &pool);
   EXPECT_EQ(serial, pooled);
+}
+
+TEST(SharedBlankViewSet, ConcurrentCallersGetOneSetAndRenderFromIt) {
+  // Non-decoding clients of Systems that run at once share their blank sets
+  // through one process-wide cache: every caller must get the same set, and
+  // renderers on different threads must read it at the same time.
+  const lightfield::LatticeConfig cfg = tiny_lattice(32);
+  constexpr std::size_t kThreads = 8;
+  std::vector<std::shared_ptr<const lightfield::ViewSet>> sets(kThreads);
+  std::vector<render::ImageRGB8> frames(kThreads);
+  std::latch start(kThreads);
+  {
+    std::vector<std::jthread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        start.arrive_and_wait();
+        sets[t] = lightfield::ViewSet::blank(cfg.view_set_span, cfg.view_resolution);
+        lightfield::Renderer renderer(cfg);
+        const lightfield::ViewSetId id{1, static_cast<int>(t % 8)};
+        renderer.add_view_set(id, sets[t]);
+        frames[t] = renderer.render(renderer.lattice().view_set_center(id), 32);
+      });
+    }
+  }
+  ASSERT_NE(sets[0], nullptr);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(sets[t], sets[0]) << t;
+    EXPECT_EQ(frames[t], render::ImageRGB8(32, 32)) << t;
+  }
 }
 
 // --- multi-client driver -----------------------------------------------------------

@@ -3,7 +3,9 @@
 // lookup-based novel-view renderer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
 #include <set>
 
 #include "lightfield/builder.hpp"
@@ -418,8 +420,46 @@ TEST(ViewSetData, DeserializeRejectsGarbage) {
   EXPECT_THROW(ViewSet::deserialize(Bytes{1, 2, 3}), DecodeError);
   ViewSet vs({0, 0}, 1, 4);
   Bytes data = vs.serialize();
-  data.pop_back();
+  data.push_back(0);
   EXPECT_THROW(ViewSet::deserialize(data), DecodeError);
+  data.resize(data.size() - 2);
+  EXPECT_THROW(ViewSet::deserialize(data), DecodeError);
+
+  // The largest shape the header may claim (64^2 views at 8192^2, about
+  // 825 GB of pixels) over a short body: rejected before any allocation.
+  ByteWriter forged;
+  forged.u32(0x4c465653);  // "LFVS"
+  forged.u32(0);
+  forged.u32(0);
+  forged.u32(64);
+  forged.u32(8192);
+  forged.u8(static_cast<std::uint8_t>(SerializeMode::kAdaptive));
+  forged.raw(Bytes(64, 0));
+  EXPECT_THROW(ViewSet::deserialize(forged.take()), DecodeError);
+}
+
+TEST(ViewSetData, BlankIsOneSharedBlackSetPerShape) {
+  const std::shared_ptr<const ViewSet> blank = ViewSet::blank(3, 16);
+  ASSERT_NE(blank, nullptr);
+  EXPECT_EQ(blank->span(), 3);
+  EXPECT_EQ(blank->resolution(), 16u);
+  EXPECT_EQ(blank->view_count(), 9u);
+  EXPECT_EQ(blank->pixel_bytes(), ViewSet({2, 5}, 3, 16).pixel_bytes());
+  for (int row = 0; row < 3; ++row) {
+    for (int col = 0; col < 3; ++col) {
+      const Bytes& pixels = blank->view(row, col).bytes();
+      EXPECT_EQ(pixels.size(), 16u * 16u * 3u);
+      EXPECT_TRUE(std::all_of(pixels.begin(), pixels.end(), [](auto b) { return b == 0; }));
+    }
+  }
+  // While a holder lives, every caller gets the same set.
+  EXPECT_EQ(ViewSet::blank(3, 16), blank);
+  // Another shape is another set.
+  EXPECT_NE(ViewSet::blank(3, 8), blank);
+  EXPECT_NE(ViewSet::blank(2, 16), blank);
+  // The cache does not keep a set alive: its last holder frees it.
+  const std::weak_ptr<const ViewSet> released = ViewSet::blank(2, 8);
+  EXPECT_TRUE(released.expired());
 }
 
 TEST(ViewSetData, ViewIndexBoundsChecked) {
@@ -543,6 +583,36 @@ TEST_F(RendererTest, UpscalingAndZoomWork) {
   const auto zoomed = renderer_.render(dir, 64, 2.0);
   EXPECT_EQ(normal.width(), 64u);
   EXPECT_GT(normal.mean_abs_diff(zoomed), 0.5);  // zoom changes the image
+}
+
+TEST_F(RendererTest, OneSharedSetServesSeveralIds) {
+  const auto shared = std::make_shared<const ViewSet>(source_.build({1, 3}));
+  renderer_.add_view_set({1, 3}, shared);
+  renderer_.add_view_set({1, 2}, shared);
+  EXPECT_EQ(renderer_.view_set({1, 2}), shared.get());
+  EXPECT_EQ(renderer_.view_set({1, 3}), shared.get());
+  EXPECT_EQ(renderer_.view_set({0, 0}), nullptr);
+
+  // Dropping one id leaves the set renderable under the other.
+  EXPECT_TRUE(renderer_.remove_view_set({1, 3}));
+  const auto& lattice = source_.lattice();
+  EXPECT_FALSE(renderer_.can_render(lattice.sample_direction(4, 10)));
+  const Spherical a = lattice.sample_direction(4, 7);
+  const Spherical b = lattice.sample_direction(4, 8);
+  const Spherical dir{a.theta, (a.phi + b.phi) / 2.0};
+  ASSERT_TRUE(renderer_.can_render(dir));
+
+  // The same pixels added by value under {1, 2} give the same frame.
+  ViewSet relabeled({1, 2}, 3, 32);
+  for (int row = 0; row < 3; ++row) {
+    for (int col = 0; col < 3; ++col) relabeled.view(row, col) = shared->view(row, col);
+  }
+  Renderer by_value(small_config(32));
+  by_value.add_view_set(std::move(relabeled));
+  const render::ImageRGB8 frame = renderer_.render(dir, 32);
+  EXPECT_EQ(frame, by_value.render(dir, 32));
+  EXPECT_TRUE(std::any_of(frame.bytes().begin(), frame.bytes().end(),
+                          [](auto byte) { return byte != 0; }));
 }
 
 TEST_F(RendererTest, RemoveViewSetEvicts) {

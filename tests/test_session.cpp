@@ -2,9 +2,12 @@
 // and the three end-to-end experiment cases of the paper's section 4.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "lightfield/procedural.hpp"
 #include "session/cursor.hpp"
@@ -12,6 +15,7 @@
 #include "session/metrics.hpp"
 #include "session/publisher.hpp"
 #include "session/scenario.hpp"
+#include "session/system.hpp"
 
 namespace lon::session {
 namespace {
@@ -262,6 +266,55 @@ TEST(Experiment, WrapperMatchesOneClientScenarioWithCoSitedAgents) {
   cfg.site_agents = 2;
   cfg.site_cache = true;
   expect_wrapper_matches_scenario(cfg);
+}
+
+TEST(Experiment, NonDecodingClientsShareOneBlankViewSet) {
+  // Several filler clients walk their scripts on one agent without
+  // decoding. Each installs the process-wide blank set of the lattice's
+  // shape, so the clients together hold one set, not one each.
+  ExperimentConfig cfg = base_config(Case::kWanWithLanDepot);
+  cfg.all_filler = true;
+  cfg.client.decode = false;
+  constexpr int kClients = 4;
+  const Scenario scenario = multi_client(cfg, kClients, 4, 7, 100 * kMillisecond);
+  System sys(scenario.base, kClients);
+  std::vector<const CursorScript*> scripts;
+  for (const ScenarioClient& sc : scenario.clients) scripts.push_back(&sc.script);
+  sys.publish(scenario.base, scripts);
+  sys.make_agent(scenario.base);
+  sys.make_clients(scenario.base);
+
+  const std::size_t n = scenario.clients.size();
+  std::vector<std::size_t> next(n, 0);
+  std::vector<std::function<void()>> advance(n);
+  std::size_t failed = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    advance[i] = [&, i] {
+      const CursorScript& script = scenario.clients[i].script;
+      if (next[i] == script.size()) return;
+      sys.clients[i]->set_view(script.steps()[next[i]++].direction, [&, i](bool ok) {
+        failed += ok ? 0 : 1;
+        advance[i]();
+      });
+    };
+    advance[i]();
+  }
+  while (sys.sim.step()) {
+  }
+  EXPECT_EQ(failed, 0u);
+
+  const std::shared_ptr<const lightfield::ViewSet> blank =
+      lightfield::ViewSet::blank(cfg.lattice.view_set_span, cfg.lattice.view_resolution);
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(next[i], scenario.clients[i].script.size());
+    const streaming::Client& client = *sys.clients[i];
+    ASSERT_EQ(client.renderer().loaded_count(), 1u);
+    const lightfield::ViewSetId id =
+        client.renderer().lattice().view_set_of(client.view_direction());
+    EXPECT_EQ(client.renderer().view_set(id), blank.get());
+  }
+  // This test's handle plus one per client: nothing else holds a copy.
+  EXPECT_EQ(blank.use_count(), 1 + kClients);
 }
 
 // --- report formatting -------------------------------------------------------------
