@@ -29,14 +29,8 @@ class ViewSetSource {
   /// Builds the (uncompressed) view set for `id`.
   [[nodiscard]] virtual ViewSet build(const ViewSetId& id) = 0;
 
-  /// Builds and compresses in one step: plain lfz, or with lfz2 the
-  /// inter-view-predicted LFZ2 container in 1 MiB chunks compressed across
-  /// `pool` when given.
-  [[nodiscard]] Bytes build_compressed(const ViewSetId& id, ThreadPool* pool = nullptr,
-                                       bool lfz2 = false) {
-    const ViewSet vs = build(id);
-    return lfz2 ? vs.compress_lfz2(1 << 20, pool) : vs.compress();
-  }
+  /// Builds and compresses in one step, as plain lfz (LFZ1).
+  [[nodiscard]] Bytes build_compressed(const ViewSetId& id) { return build(id).compress(); }
 };
 
 /// Renders sample views of a volume with the ray caster (multi-threaded).

@@ -6,7 +6,7 @@ int LodSelector::pick(SimDuration full_estimate, SimDuration budget,
                       const std::vector<double>& cost_ratios) const {
   if (cost_ratios.empty()) return 0;
   if (budget <= 0) return static_cast<int>(cost_ratios.size());
-  const double limit = static_cast<double>(budget) * config_.headroom;
+  const double limit = static_cast<double>(budget) * kHeadroom;
   const double full = static_cast<double>(full_estimate);
   if (full <= limit) return 0;
   for (std::size_t k = 0; k < cost_ratios.size(); ++k) {

@@ -22,14 +22,9 @@ namespace lon::policy {
 
 class LodSelector {
  public:
-  struct Config {
-    /// A tier is only chosen if its predicted fetch fits within this
-    /// fraction of the remaining budget — headroom for decode + delivery.
-    double headroom = 0.8;
-  };
-
-  LodSelector() = default;
-  explicit LodSelector(Config config) : config_(config) {}
+  /// A tier is only chosen if its predicted fetch fits within this fraction
+  /// of the remaining budget — headroom for decode + delivery.
+  static constexpr double kHeadroom = 0.8;
 
   /// Picks the LOD for a demand fetch. `full_estimate` is the latency
   /// estimator's prediction for a full-resolution fetch of this access
@@ -47,9 +42,6 @@ class LodSelector {
   /// pixel count, i.e. (tier_resolution / full_resolution)^2.
   [[nodiscard]] static std::vector<double> cost_ratios(
       std::size_t full_resolution, const std::vector<std::size_t>& tier_resolutions);
-
- private:
-  Config config_;
 };
 
 }  // namespace lon::policy

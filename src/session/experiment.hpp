@@ -52,12 +52,10 @@ struct ExperimentConfig {
   /// then ignored) — how the policy bench replays its scripted cursor walks.
   std::optional<CursorScript> script;
 
-  // Content policy: true renders every view set (slow); false renders only
-  // the view sets the script touches and publishes size-matched filler for
-  // the rest.
-  bool full_content = false;
-  // Publish filler for everything and skip client-side decoding entirely —
-  // for communication-latency-only studies (set client.decode = false too).
+  // Content policy: only the view sets the scripts touch are rendered; the
+  // rest are published as size-matched filler. all_filler publishes filler
+  // for everything and skips client-side decoding entirely — for
+  // communication-latency-only studies (set client.decode = false too).
   bool all_filler = false;
 
   // Client behaviour.
@@ -99,21 +97,20 @@ struct ExperimentConfig {
   /// staged copies are discoverable site-wide and concurrent restages of
   /// the same view set coalesce into a single WAN fetch.
   bool site_cache = false;
-  std::uint64_t site_cache_bytes = 0;  ///< site index byte budget (0 = unbounded)
   /// DVS directory shards (lookup tables partitioned by ViewSetId hash).
   std::size_t dvs_shards = 1;
   /// Serial per-query service time a DVS shard charges (0 = uncontended).
   SimDuration dvs_shard_service = 0;
   /// > 0: the publisher runs a repair sweep this often, probing a slice of
   /// the database's exNodes and re-replicating extents that lost replicas
-  /// to crashed depots (healed exNodes are re-installed into the DVS).
+  /// to crashed depots back up to publish_replicas (healed exNodes are
+  /// re-installed into the DVS).
   SimDuration repair_interval = 0;
-  int repair_target_replicas = 0;    ///< 0 = publish_replicas
   std::size_t repair_batch = 4;      ///< exNodes probed per sweep
 
   // Concurrency. The default reproduces the serial seed behaviour exactly.
-  /// CPU pool for the agents' batched LoRS stripe verification, also handed
-  /// to the server agent. Virtual results do not depend on it.
+  /// CPU pool for the agents' batched LoRS stripe verification. Virtual
+  /// results do not depend on it.
   ThreadPool* pool = nullptr;
 
   /// Coarse tiers of the scene (view resolutions), published next to the
@@ -122,10 +119,10 @@ struct ExperimentConfig {
   /// `agent.lod_streaming` it picks the finest tier that fits the deadline.
   std::vector<std::size_t> lod_resolutions;
 
-  /// Run the server-side generator/augmenter behind the DVS. Its deadline is
-  /// the agent's (`agent.deadline`).
+  /// Run the server-side generator/augmenter behind the DVS: one LIFO
+  /// generator that renders DVS misses and never refuses one, and fans hot
+  /// view sets out to the LAN depots.
   bool server_agent = false;
-  streaming::AdmissionConfig server_admission;  ///< generation-tier admission
   int augment_threshold = 0;      ///< hot reports before fanning replicas out
   SimDuration augment_cooldown = 60 * kSecond;  ///< per-view-set augment hysteresis
 };

@@ -16,7 +16,7 @@ AccessSummary summarize(const std::vector<AccessRecord>& records) {
   std::size_t last_wan = 0;
   bool any_wan = false;
   for (std::size_t i = 0; i < records.size(); ++i) {
-    if (records[i].cls == AccessClass::kWan || records[i].cls == AccessClass::kGenerated) {
+    if (records[i].cls == AccessClass::kWan) {
       last_wan = i;
       any_wan = true;
     }
@@ -46,14 +46,13 @@ AccessSummary summarize(const std::vector<AccessRecord>& records) {
         sum_lan += comm_s;
         break;
       case AccessClass::kWan:
-      case AccessClass::kGenerated:
         ++s.wan;
         sum_wan += comm_s;
         break;
     }
     if (i < s.initial_phase) {
       if (r.cls == AccessClass::kAgentHit) ++hits_initial;
-      if (r.cls == AccessClass::kWan || r.cls == AccessClass::kGenerated) ++wan_initial;
+      if (r.cls == AccessClass::kWan) ++wan_initial;
     } else {
       sum_total_p2 += total_s;
     }

@@ -3,12 +3,17 @@
 #include <algorithm>
 #include <unordered_set>
 
+#include "streaming/types.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
 
 namespace lon::session {
 
 namespace {
+
+constexpr std::uint64_t kFillerSeed = 9;
+/// Filler sizes vary this much (fractionally) around the measured mean.
+constexpr double kFillerSizeJitter = 0.1;
 
 /// Filler payload: incompressible-looking bytes of a realistic size. These
 /// objects are staged and transferred but never decompressed, so only the
@@ -67,10 +72,10 @@ PublishResult publish_database(sim::Simulator& sim, lors::Lors& lors,
       static_cast<double>(real_bytes) / static_cast<double>(real_count);
 
   // Pass 2: synthesize filler for the remainder.
-  Rng rng(options.filler_seed);
+  Rng rng(kFillerSeed);
   for (auto& [id, payload] : payloads) {
     if (!payload.empty()) continue;
-    const double jitter = 1.0 + options.filler_size_jitter * (2.0 * rng.uniform() - 1.0);
+    const double jitter = 1.0 + kFillerSizeJitter * (2.0 * rng.uniform() - 1.0);
     payload = make_filler(
         static_cast<std::uint64_t>(std::max(1.0, mean_compressed * jitter)), rng);
   }
@@ -90,8 +95,7 @@ PublishResult publish_database(sim::Simulator& sim, lors::Lors& lors,
       lors::UploadOptions upload;
       upload.depots = options.depots;
       upload.replicas = options.replicas;
-      upload.block_bytes = options.block_bytes;
-      upload.lease = options.lease;
+      upload.lease = streaming::kDatabaseLease;
       upload.net = options.net;
       lors.upload_async(server_node, std::move(payload), upload,
                         [&, id = id](const lors::UploadResult& up) {

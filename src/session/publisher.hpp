@@ -21,11 +21,10 @@
 
 namespace lon::session {
 
+/// Uploads use LoRS's default block size and streaming::kDatabaseLease.
 struct PublishOptions {
   std::vector<std::string> depots;   ///< upload stripe targets
   int replicas = 1;
-  std::uint64_t block_bytes = 512 * 1024;
-  SimDuration lease = 24 * 3600 * kSecond;
   sim::TransferOptions net;
 
   /// Build real pixel content for these ids only; empty = all ids real
@@ -35,9 +34,6 @@ struct PublishOptions {
   /// studies where the client never decodes). One real view set is still
   /// built to calibrate the filler size.
   bool all_filler = false;
-  std::uint64_t filler_seed = 9;
-  /// Filler sizes vary this much (fractionally) around the measured mean.
-  double filler_size_jitter = 0.1;
 };
 
 struct PublishResult {

@@ -97,7 +97,7 @@ PublishResult& System::publish(const ExperimentConfig& config,
   publish.replicas = config.publish_replicas;
   publish.net.streams = 8;
   publish.all_filler = config.all_filler;
-  if (!config.full_content && !config.all_filler) {
+  if (!config.all_filler) {
     std::set<std::pair<int, int>> visited;
     for (const CursorScript* script : scripts) {
       for (const CursorStep& step : script->steps()) {
@@ -142,7 +142,7 @@ void System::ensure_lod(const ExperimentConfig& config) {
     publish.replicas = config.publish_replicas;
     publish.net.streams = 8;
     publish.all_filler = config.all_filler;
-    if (!config.full_content && !config.all_filler) publish.real_ids = visited_;
+    if (!config.all_filler) publish.real_ids = visited_;
     const PublishResult coarse_published =
         publish_database(sim, lors, *tier.dvs, *tier.source, server_node, publish);
     if (coarse_published.failed > 0) {
@@ -164,9 +164,8 @@ void System::make_agent(const ExperimentConfig& config) {
   }
   agent_config.site_cache = nullptr;
   if (config.site_cache) {
-    streaming::SiteCacheConfig site_config;
-    site_config.capacity_bytes = config.site_cache_bytes;
-    site_cache = std::make_unique<streaming::SiteCache>(sim, site_config, obs.get());
+    site_cache = std::make_unique<streaming::SiteCache>(sim, streaming::SiteCacheConfig{},
+                                                        obs.get());
     agent_config.site_cache = site_cache.get();
   }
   const int count = std::max(1, config.site_agents);
@@ -206,9 +205,6 @@ void System::make_server_agent(const ExperimentConfig& config) {
   sa.depots = (config.which == Case::kLanData) ? lan_depots : wan_depots;
   sa.replicas = config.publish_replicas;
   sa.net.streams = 8;
-  sa.pool = config.pool;
-  sa.admission = config.server_admission;
-  sa.deadline = config.agent.deadline;
   sa.augment_threshold = config.augment_threshold;
   sa.augment_cooldown = config.augment_cooldown;
   // Fan hot view sets toward the client site: augmented replicas land on
@@ -236,9 +232,7 @@ void System::start_repair(const ExperimentConfig& config) {
   if (config.repair_interval <= 0) return;
   repair_interval_ = config.repair_interval;
   repair_batch_ = config.repair_batch;
-  repair_target_replicas_ = config.repair_target_replicas > 0
-                                ? config.repair_target_replicas
-                                : config.publish_replicas;
+  repair_replicas_ = config.publish_replicas;
   repair_depots_ = (config.which == Case::kLanData) ? lan_depots : wan_depots;
   repair_sweep_ = [this] {
     if (published.exnodes.empty()) return;
@@ -247,7 +241,7 @@ void System::start_repair(const ExperimentConfig& config) {
     for (std::size_t i = 0; i < *batch; ++i) {
       auto& [id, owned] = published.exnodes[repair_cursor_++ % published.exnodes.size()];
       lors::RepairOptions options;
-      options.target_replicas = repair_target_replicas_;
+      options.target_replicas = repair_replicas_;
       options.candidate_depots = repair_depots_;
       lors.repair_async(server_node, owned, options,
                         [this, batch, id = id](const lors::RepairResult& r) {

@@ -119,7 +119,7 @@ struct System {
   std::function<void()> repair_sweep_;
   SimDuration repair_interval_ = 0;
   std::size_t repair_batch_ = 4;
-  int repair_target_replicas_ = 1;
+  int repair_replicas_ = 1;
   std::vector<std::string> repair_depots_;
 };
 

@@ -1,12 +1,13 @@
 // Admission control for the serving path — overload protection.
 //
-// A flash crowd must not be allowed to queue unboundedly at the client agent
-// or the server agent: every queued request then blows the interactivity
-// deadline at once, which is the worst possible failure mode for an
-// interactive browser. Instead the serving tier sheds load explicitly —
-// "tiered caches plus explicit load management at the serving tier" — and
-// the client retries with backoff, by which time prestaging has usually
-// localized the data.
+// A flash crowd must not be allowed to queue unboundedly at the client agent:
+// every queued request then blows the interactivity deadline at once, which
+// is the worst possible failure mode for an interactive browser. Instead the
+// client agent sheds load explicitly — "tiered caches plus explicit load
+// management at the serving tier" — and the client retries with backoff, by
+// which time prestaging has usually localized the data. The agent is the only
+// tier that admits: the server agent's generator never refuses a DVS miss
+// (paper sections 3.4 and 3.6).
 //
 // Three independent mechanisms, each off by default so legacy behaviour is
 // bit-identical until a config turns them on:

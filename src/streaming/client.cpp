@@ -50,9 +50,7 @@ Client::Client(sim::Simulator& sim, sim::Network& net,
                scope_.histogram("session.comm_wan_ns"),
                scope_.counter("session.shed_retries"),
                scope_.histogram("session.shed_wait_ns")},
-      shed_rng_(config_.shed_retry_seed != 0
-                    ? config_.shed_retry_seed
-                    : 0x51ed0000ULL + static_cast<std::uint64_t>(node)),
+      shed_rng_(0x51ed0000ULL + static_cast<std::uint64_t>(node)),
       renderer_(lattice) {}
 
 void Client::record_access(const AccessRecord& record) {
@@ -70,7 +68,6 @@ void Client::record_access(const AccessRecord& record) {
       metrics_.comm_lan_ns.record(record.comm_latency);
       break;
     case AccessClass::kWan:
-    case AccessClass::kGenerated:
       metrics_.wan.inc();
       metrics_.comm_wan_ns.record(record.comm_latency);
       break;

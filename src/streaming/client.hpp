@@ -45,7 +45,6 @@ struct ClientConfig {
   /// no exNode repair: nothing is broken, the system is busy). max_attempts
   /// counts total tries; the default gives three backed-off retries.
   lors::RetryPolicy shed_retry{.max_attempts = 4, .base_backoff = 100 * kMillisecond};
-  std::uint64_t shed_retry_seed = 0;     ///< jitter stream (0 = derive from node id)
 };
 
 class Client {
@@ -121,7 +120,7 @@ class Client {
   obs::Scope scope_;
   Metrics metrics_;
 
-  Rng shed_rng_;  ///< jitter stream for shed-retry backoff
+  Rng shed_rng_;  ///< jitter stream for shed-retry backoff, seeded from the node id
   lightfield::Renderer renderer_;
   std::deque<lightfield::ViewSetId> resident_;  // eviction order (FIFO)
   Spherical direction_;

@@ -17,8 +17,6 @@ const char* to_string(AccessClass cls) {
       return "lan-depot";
     case AccessClass::kWan:
       return "wan";
-    case AccessClass::kGenerated:
-      return "generated";
   }
   return "?";
 }
@@ -90,8 +88,7 @@ ClientAgent::ClientAgent(sim::Simulator& sim, sim::Network& net, ibp::Fabric& fa
       cache_(config_.cache_bytes),
       admission_(config_.admission),
       motion_(config_.motion),
-      latency_(config_.latency),
-      lod_selector_(policy::LodSelector::Config{config_.lod_headroom}) {
+      latency_(config_.latency) {
   if (config_.staging && config_.lan_depots.empty()) {
     throw std::invalid_argument("ClientAgent: staging enabled without LAN depots");
   }
@@ -235,7 +232,6 @@ void ClientAgent::fetch(const lightfield::ViewSetId& id, RichDeliverCallback cb,
                        obs_.trace.end(span, sim_.now());
                        Delivery delivery{data, AccessClass::kAgentHit, kAgentHitLatency};
                        delivery.lod = have;
-                       delivery.degraded_lod = true;
                        cb(delivery);
                      });
         }
@@ -283,7 +279,7 @@ AccessClass ClientAgent::classify(const exnode::ExNode& exnode) const {
     }
   }
   if (best == std::numeric_limits<SimDuration>::max()) return AccessClass::kWan;
-  return best <= config_.lan_threshold ? AccessClass::kLanDepot : AccessClass::kWan;
+  return best <= kLanThreshold ? AccessClass::kLanDepot : AccessClass::kWan;
 }
 
 policy::FetchClass ClientAgent::fetch_class_of(const lightfield::ViewSetId& id) const {
@@ -355,17 +351,6 @@ void ClientAgent::resolve_and_download(const lightfield::ViewSetId& id, bool all
       obs_.trace, flight != inflight_.end() ? flight->second.span : 0);
   dvs_.query_async(node_, id, /*generate_if_missing=*/true,
                    [this, id](const DvsServer::QueryResult& result) {
-                     if (result.shed) {
-                       // The generation tier refused under load: not a
-                       // failure, not a reason to repair anything — the
-                       // client backs off and retries.
-                       if (auto it = inflight_.find(id); it != inflight_.end()) {
-                         it->second.shed_upstream = true;
-                       }
-                       note_pressure(id);
-                       finish_fetch(id, nullptr, 0);
-                       return;
-                     }
                      if (!result.found) {
                        LON_LOG(kWarn, "client-agent")
                            << "view set " << id.key() << " unavailable";
@@ -533,9 +518,6 @@ void ClientAgent::finish_fetch(const lightfield::ViewSetId& id, std::shared_ptr<
   if (!flight.prefetch_origin && demand_inflight_ > 0) --demand_inflight_;
 
   const bool ok = data != nullptr && !data->empty();
-  const DeliveryStatus status = ok                     ? DeliveryStatus::kOk
-                                : flight.shed_upstream ? DeliveryStatus::kShed
-                                                       : DeliveryStatus::kFailed;
   // The pooled download slab is handed onward by reference — cache entries
   // and deliveries all alias it; nothing below copies a payload byte.
   std::shared_ptr<const Bytes> payload =
@@ -574,15 +556,10 @@ void ClientAgent::finish_fetch(const lightfield::ViewSetId& id, std::shared_ptr<
       }
     }
   }
-  // Ladder feed: one outcome per demand flight. A shed is a miss by
-  // definition; a hard failure is availability, not overload, and does not
-  // move the ladder.
-  if (!flight.prefetch_origin || flight.demand_joined) {
-    if (status == DeliveryStatus::kShed) {
-      observe_deadline(/*miss=*/true);
-    } else if (ok && config_.deadline > 0) {
-      observe_deadline(sim_.now() - flight.started > config_.deadline);
-    }
+  // Ladder feed: one outcome per delivered demand flight. A hard failure is
+  // availability, not overload, and does not move the ladder.
+  if ((!flight.prefetch_origin || flight.demand_joined) && ok && config_.deadline > 0) {
+    observe_deadline(sim_.now() - flight.started > config_.deadline);
   }
   // Refinements ride the prefetch_origin plumbing (null callback, no demand
   // accounting) but were never charged a prefetch slot or bytes — releasing
@@ -605,31 +582,24 @@ void ClientAgent::finish_fetch(const lightfield::ViewSetId& id, std::shared_ptr<
 
   for (const Waiter& waiter : flight.waiters) {
     if (waiter.demand) {
-      if (status == DeliveryStatus::kShed) {
-        // Not an access: the request was refused, not served.
-        metrics_.demand_shed.inc();
-      } else {
-        switch (flight.cls) {
-          case AccessClass::kLanDepot:
-            metrics_.lan_accesses.inc();
-            break;
-          case AccessClass::kWan:
-          case AccessClass::kGenerated:
-            metrics_.wan_accesses.inc();
-            break;
-          case AccessClass::kAgentHit:
-            metrics_.hits.inc();
-            break;
-        }
-        if (ok && flight.lod > 0) metrics_.lod_coarse_serves.inc();
+      switch (flight.cls) {
+        case AccessClass::kLanDepot:
+          metrics_.lan_accesses.inc();
+          break;
+        case AccessClass::kWan:
+          metrics_.wan_accesses.inc();
+          break;
+        case AccessClass::kAgentHit:
+          metrics_.hits.inc();
+          break;
       }
+      if (ok && flight.lod > 0) metrics_.lod_coarse_serves.inc();
     }
     if (waiter.cb) {
       Delivery delivery{payload, flight.cls, sim_.now() - waiter.arrived};
-      delivery.status = status;
+      delivery.status = ok ? DeliveryStatus::kOk : DeliveryStatus::kFailed;
       delivery.copied_bytes = copied_bytes;
       delivery.lod = flight.lod;
-      delivery.degraded_lod = flight.lod > 0;
       waiter.cb(delivery);
     }
   }
@@ -702,7 +672,6 @@ void ClientAgent::run_prefetch(const Spherical& dir) {
   ctx.cursor_vs = cursor_vs_;
   ctx.quadrant = lattice_.quadrant_of(dir);
   ctx.now = sim_.now();
-  ctx.horizon = config_.prefetch_horizon;
   ctx.budget = slots;
   ctx.is_resident = [this](const lightfield::ViewSetId& id) {
     return cache_.contains(id) || inflight_.contains(id);

@@ -50,6 +50,10 @@ class SiteCache;
 /// the ~1e-4 s "hit" line of figure 12.
 inline constexpr SimDuration kAgentHitLatency = 100 * kMicrosecond;
 
+/// Replicas closer than this count as "on the client's LAN" when classifying
+/// where an access was served from.
+inline constexpr SimDuration kLanThreshold = 5 * kMillisecond;
+
 /// Graceful-degradation ladder. Under sustained deadline misses the agent
 /// descends one rung at a time, shrinking how much work each interaction
 /// costs; sustained on-time deliveries climb back up. Order matters and is
@@ -64,9 +68,9 @@ enum class DegradeLevel {
 
 [[nodiscard]] const char* to_string(DegradeLevel level);
 
-/// How a delivery concluded. kShed is an explicit overload refusal (local
-/// admission control or the generation tier): the payload is empty but the
-/// request is retryable and must not be treated as a depot failure.
+/// How a delivery concluded. kShed is an explicit overload refusal by the
+/// agent's own admission control: the payload is empty but the request is
+/// retryable and must not be treated as a depot failure.
 enum class DeliveryStatus { kOk, kFailed, kShed };
 
 struct ClientAgentConfig {
@@ -84,8 +88,6 @@ struct ClientAgentConfig {
   policy::EvictionStrategy eviction = policy::EvictionStrategy::kLru;
   policy::MotionConfig motion;                    ///< cursor motion model knobs
   policy::FetchLatencyEstimator::Config latency;  ///< per-class latency priors
-  /// How far ahead (virtual time) the predictive policy may schedule.
-  SimDuration prefetch_horizon = 2 * kSecond;
   /// Concurrent prefetch fetches allowed (0 = unlimited, the legacy
   /// behaviour of issuing every quadrant target).
   std::size_t prefetch_max_inflight = 0;
@@ -106,10 +108,6 @@ struct ClientAgentConfig {
   sim::TransferOptions wan_net{.weight = 1.0, .streams = 4};
   sim::TransferOptions lan_net{.weight = 1.0, .streams = 2};
   sim::TransferOptions staging_net{.weight = 1.0, .streams = 4};
-
-  /// Replicas closer than this count as "on the client's LAN" when
-  /// classifying where an access was served from.
-  SimDuration lan_threshold = 5 * kMillisecond;
 
   // --- Self-healing ---------------------------------------------------------
 
@@ -179,9 +177,6 @@ struct ClientAgentConfig {
   /// After a coarse demand serve, fetch the full-resolution bytes in the
   /// background and swap them into the cache (progressive refinement).
   bool lod_refine = true;
-  /// A tier is only picked if its predicted fetch fits within this fraction
-  /// of the remaining deadline budget.
-  double lod_headroom = 0.8;
 };
 
 class ClientAgent {
@@ -210,11 +205,9 @@ class ClientAgent {
     /// compressed payload for a cold fetch. Feeds AccessRecord.copied_bytes
     /// and the bytes-copied-per-access perf gate.
     std::uint64_t copied_bytes = 0;
-    /// The payload is a coarse-resolution substitute (LOD streaming pick or
-    /// the kCoarseLod rung) — not the canonical full-resolution view set.
-    bool degraded_lod = false;
     /// Which tier served this delivery: 0 = full resolution, k >= 1 = the
-    /// k-th coarse tier (degraded_lod == (lod > 0)).
+    /// k-th coarse tier, a substitute for the canonical view set (LOD
+    /// streaming pick or the kCoarseLod rung).
     int lod = 0;
   };
   using RichDeliverCallback = std::function<void(const Delivery&)>;
@@ -296,7 +289,6 @@ class ClientAgent {
     std::uint64_t prefetch_charge = 0;  ///< bytes charged to the prefetch budget
     int lod = 0;                   ///< tier being fetched (0 = full resolution)
     bool refinement = false;       ///< background full-res upgrade of a coarse serve
-    bool shed_upstream = false;    ///< the generation tier shed this request
     /// The flight resolved through a staged/site copy. On a failed retry the
     /// agent drops that copy exactly once (see the drop_staged plumbing) —
     /// this is what keeps agent.restaged from double-counting one incident.
@@ -387,7 +379,7 @@ class ClientAgent {
                     RichDeliverCallback cb, obs::SpanId parent);
 
   /// Where a download of this exNode will be served from: LAN if the best
-  /// reachable replica across all extents is within lan_threshold.
+  /// reachable replica across all extents is within kLanThreshold.
   [[nodiscard]] AccessClass classify(const exnode::ExNode& exnode) const;
 
   /// Best latency-class guess for fetching `id` right now (staged/known

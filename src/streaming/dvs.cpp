@@ -14,10 +14,10 @@ DvsServer::DvsServer(sim::Simulator& sim, sim::Network& net, sim::NodeId node,
       config_(config),
       obs_(obs != nullptr ? *obs : obs::global()),
       scope_(obs_.metrics.scope("dvs")),
-      metrics_{scope_.counter("dvs.queries"),    scope_.counter("dvs.hits"),
-               scope_.counter("dvs.misses"),     scope_.counter("dvs.forwarded"),
-               scope_.counter("dvs.updates"),    scope_.counter("dvs.levels_visited"),
-               scope_.counter("dvs.generation_shed"), scope_.counter("dvs.hot_reports")} {
+      metrics_{scope_.counter("dvs.queries"), scope_.counter("dvs.hits"),
+               scope_.counter("dvs.misses"),  scope_.counter("dvs.forwarded"),
+               scope_.counter("dvs.updates"), scope_.counter("dvs.levels_visited"),
+               scope_.counter("dvs.hot_reports")} {
   if (config_.leaf_capacity == 0) throw std::invalid_argument("DvsServer: leaf capacity 0");
   if (config_.shards == 0) throw std::invalid_argument("DvsServer: shard count 0");
   Region whole{0, static_cast<int>(lattice.view_set_rows()), 0,
@@ -71,7 +71,7 @@ std::unique_ptr<DvsServer::Node> DvsServer::build_tree(const Region& region,
   return node;
 }
 
-DvsServer::Node* DvsServer::descend(const lightfield::ViewSetId& id, int* levels) {
+DvsServer::Node* DvsServer::descend(const lightfield::ViewSetId& id, int* levels) const {
   Node* node = shards_[shard_of(id)].root.get();
   *levels = 1;
   if (!node->region.contains(id)) return nullptr;
@@ -99,7 +99,7 @@ void DvsServer::install(const lightfield::ViewSetId& id, exnode::ExNode exnode) 
 
 bool DvsServer::knows(const lightfield::ViewSetId& id) const {
   int levels = 0;
-  Node* leaf = const_cast<DvsServer*>(this)->descend(id, &levels);
+  const Node* leaf = descend(id, &levels);
   return leaf != nullptr && leaf->entries.contains(id);
 }
 
@@ -131,7 +131,7 @@ void DvsServer::query_async(sim::NodeId from, const lightfield::ViewSetId& id,
       shard.busy_until = now + wait + config_.shard_service;
     }
     const SimDuration lookup =
-        wait + static_cast<SimDuration>(levels) * config_.level_overhead;
+        wait + static_cast<SimDuration>(levels) * kLevelOverhead;
     const SimDuration back = net_.path_latency(node_, from);
 
     if (leaf != nullptr) {
@@ -173,29 +173,21 @@ void DvsServer::query_async(sim::NodeId from, const lightfield::ViewSetId& id,
       // Ambient parent for the server agent's generate span: the forward is
       // a synchronous call, so the register survives exactly long enough.
       const obs::Tracer::Ambient ambient(obs_.trace, span);
-      agent_->generate_with_status_async(
+      agent_->generate_async(
           id, [this, id, levels, back, span,
-               cb = std::move(cb)](GenerateStatus status, const exnode::ExNode& exnode) {
+               cb = std::move(cb)](bool ok, const exnode::ExNode& exnode) {
             QueryResult result;
             result.levels = levels;
-            if (status == GenerateStatus::kOk) {
+            if (ok) {
               install(id, exnode);
               metrics_.updates.inc();
               result.found = true;
               result.exnode = exnode;
-            } else if (status == GenerateStatus::kShed) {
-              // Overload, not absence: the caller should back off and retry
-              // rather than give up or repair anything.
-              metrics_.generation_shed.inc();
-              result.shed = true;
             } else {
               metrics_.misses.inc();
             }
-            sim_.after(back, [this, span, status, result, cb] {
-              obs_.trace.arg(span, "outcome",
-                             status == GenerateStatus::kOk     ? "generated"
-                             : status == GenerateStatus::kShed ? "shed"
-                                                               : "miss");
+            sim_.after(back, [this, span, result, cb] {
+              obs_.trace.arg(span, "outcome", result.found ? "generated" : "miss");
               obs_.trace.end(span, sim_.now());
               cb(result);
             });
@@ -227,7 +219,7 @@ void DvsServer::report_hot_async(sim::NodeId from, const lightfield::ViewSetId& 
     if (leaf == nullptr) return;
     auto it = leaf->entries.find(id);
     if (it == leaf->entries.end()) return;  // nothing to augment yet
-    const SimDuration lookup = static_cast<SimDuration>(levels) * config_.level_overhead;
+    const SimDuration lookup = static_cast<SimDuration>(levels) * kLevelOverhead;
     sim_.after(lookup, [this, id, exnode = it->second] { agent_->note_hot(id, exnode); });
   });
 }

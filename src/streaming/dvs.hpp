@@ -29,12 +29,6 @@
 
 namespace lon::streaming {
 
-/// Why a runtime-generation request did not return an exNode. kShed is an
-/// explicit overload response — the generator's admission control refused
-/// the work — and must not be confused with kFailed (invalid id, upload
-/// failure): a shed request is worth retrying, a failed one is not.
-enum class GenerateStatus { kOk, kFailed, kShed };
-
 /// The server-agent side of the DVS miss path (implemented by ServerAgent).
 class GeneratorService {
  public:
@@ -42,22 +36,11 @@ class GeneratorService {
 
   using GenerateCallback =
       std::function<void(bool ok, const exnode::ExNode& exnode)>;
-  using GenerateStatusCallback =
-      std::function<void(GenerateStatus status, const exnode::ExNode& exnode)>;
 
-  /// Renders + uploads the view set, returning its new exNode.
+  /// Renders + uploads the view set, returning its new exNode (ok = false:
+  /// invalid id or failed upload).
   virtual void generate_async(const lightfield::ViewSetId& id,
                               GenerateCallback on_done) = 0;
-
-  /// Status-carrying variant: distinguishes an admission-control shed from a
-  /// hard failure. The default bridges to generate_async so existing
-  /// generators (which never shed) keep working unchanged.
-  virtual void generate_with_status_async(const lightfield::ViewSetId& id,
-                                          GenerateStatusCallback on_done) {
-    generate_async(id, [cb = std::move(on_done)](bool ok, const exnode::ExNode& exnode) {
-      cb(ok ? GenerateStatus::kOk : GenerateStatus::kFailed, exnode);
-    });
-  }
 
   /// Demand-pressure signal: the client side is shedding or degrading
   /// requests for this view set. A generator may react by fanning the view
@@ -68,10 +51,12 @@ class GeneratorService {
   }
 };
 
+/// Lookup cost the DVS charges per tree hop.
+inline constexpr SimDuration kLevelOverhead = 200 * kMicrosecond;
+
 /// DVS tuning knobs.
 struct DvsConfig {
   std::size_t leaf_capacity = 16;                   ///< view-set entries per leaf
-  SimDuration level_overhead = 200 * kMicrosecond;  ///< per-hop lookup cost
   /// Lookup-table shards. The exNode table is partitioned by ViewSetId hash
   /// into `shards` independent spatial trees, each holding ~1/K of the
   /// entries (leaves sized leaf_capacity * shards keep per-leaf density
@@ -107,8 +92,7 @@ class DvsServer {
   struct QueryResult {
     bool found = false;
     exnode::ExNode exnode;
-    int levels = 0;   ///< tree hops this query made
-    bool shed = false; ///< the generator shed the request (overload, retryable)
+    int levels = 0;  ///< tree hops this query made
   };
   using QueryCallback = std::function<void(const QueryResult&)>;
 
@@ -137,7 +121,6 @@ class DvsServer {
     obs::Counter& forwarded;        ///< sent to the server-agent table
     obs::Counter& updates;
     obs::Counter& levels_visited;   ///< cumulative hops over all queries
-    obs::Counter& generation_shed;  ///< forwarded queries the generator shed
     obs::Counter& hot_reports;      ///< demand-pressure reports relayed
   };
 
@@ -178,7 +161,9 @@ class DvsServer {
   }
 
   /// Walks the id's shard root -> leaf; returns the leaf and the hop count.
-  Node* descend(const lightfield::ViewSetId& id, int* levels);
+  /// The walk reads only the tree's shape, so it is const; the leaf it
+  /// returns stays writable for install() and the query path.
+  Node* descend(const lightfield::ViewSetId& id, int* levels) const;
 
   sim::Simulator& sim_;
   sim::Network& net_;

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "streaming/types.hpp"
 #include "util/log.hpp"
 
 namespace lon::streaming {
@@ -22,73 +23,30 @@ ServerAgent::ServerAgent(sim::Simulator& sim, sim::Network& net, lors::Lors& lor
       metrics_{scope_.counter("server.requests"),
                scope_.counter("server.generated"),
                scope_.counter("server.upload_failures"),
-               scope_.counter("server.generation_shed"),
-               scope_.counter("server.shed_queue_full"),
-               scope_.counter("server.shed_deadline"),
                scope_.counter("server.hot_reports"),
                scope_.counter("server.augments"),
-               scope_.counter("server.augment_failures")},
-      admission_(config_.admission) {
+               scope_.counter("server.augment_failures")} {
   if (source_ == nullptr) throw std::invalid_argument("ServerAgent: null source");
   if (config_.depots.empty()) throw std::invalid_argument("ServerAgent: no depots");
-  if (config_.processors < 1) throw std::invalid_argument("ServerAgent: processors < 1");
-  if (config_.generator_lanes < 1) {
-    throw std::invalid_argument("ServerAgent: generator_lanes < 1");
-  }
 }
 
 SimDuration ServerAgent::generation_cost() const {
   const auto& cfg = source_->lattice().config();
   const double pixels = static_cast<double>(cfg.view_set_span) * cfg.view_set_span *
                         static_cast<double>(cfg.view_resolution) * cfg.view_resolution;
-  // Lanes split the cluster evenly: one lane gets all processors (the seed
-  // behaviour); N lanes each render on 1/N of the cluster.
-  const int procs = std::max(1, config_.processors / config_.generator_lanes);
-  const double render_s = pixels / (config_.pixels_per_sec_per_proc * procs);
+  const double render_s = pixels / (kPixelsPerSecPerProc * kProcessors);
   // Raw pixels are written once and the compressed output once more.
-  const double io_s = pixels * 3.0 * 1.2 / config_.io_bytes_per_sec;
+  const double io_s = pixels * 3.0 * 1.2 / kIoBytesPerSec;
   return from_seconds(render_s + io_s);
 }
 
 void ServerAgent::generate_async(const lightfield::ViewSetId& id,
                                  GenerateCallback on_done) {
-  generate_with_status_async(
-      id, [cb = std::move(on_done)](GenerateStatus status, const exnode::ExNode& exnode) {
-        cb(status == GenerateStatus::kOk, exnode);
-      });
-}
-
-void ServerAgent::generate_with_status_async(const lightfield::ViewSetId& id,
-                                             GenerateStatusCallback on_done) {
   if (!source_->lattice().valid(id)) {
-    sim_.after(0, [cb = std::move(on_done)] { cb(GenerateStatus::kFailed, exnode::ExNode{}); });
+    sim_.after(0, [cb = std::move(on_done)] { cb(false, exnode::ExNode{}); });
     return;
   }
   metrics_.requests.inc();
-
-  // Admission: the queue depth counts waiting requests; the completion
-  // estimate is one generation when a lane is free, two when every lane is
-  // busy (at best we finish behind the request occupying it). Requester
-  // identity does not survive the DVS hop, so the token buckets keyed here
-  // would see one aggregate requester — fairness runs at the client agent.
-  const SimDuration est =
-      generation_cost() * (active_ < config_.generator_lanes ? 1 : 2);
-  const AdmissionDecision decision =
-      admission_.admit(0, sim_.now(), pending_.size(), est, config_.deadline);
-  if (decision != AdmissionDecision::kAdmit) {
-    metrics_.sheds.inc();
-    if (decision == AdmissionDecision::kShedQueueFull) {
-      metrics_.shed_queue_full.inc();
-    } else if (decision == AdmissionDecision::kShedDeadline) {
-      metrics_.shed_deadline.inc();
-    }
-    const obs::SpanId shed = obs_.trace.instant("server.shed", sim_.now());
-    obs_.trace.arg(shed, "view_set", id.key());
-    obs_.trace.arg(shed, "reason", to_string(decision));
-    sim_.after(0, [cb = std::move(on_done)] { cb(GenerateStatus::kShed, exnode::ExNode{}); });
-    return;
-  }
-
   // Parent is whatever the forwarding DVS left ambient; the span covers
   // queue wait as well as the render/upload/update pipeline.
   const obs::SpanId span = obs_.trace.begin("server.generate", sim_.now());
@@ -122,7 +80,7 @@ void ServerAgent::augment(const lightfield::ViewSetId& id, const exnode::ExNode&
 
   lors::AugmentOptions options;
   options.target_depot = target;
-  options.lease = config_.lease;
+  options.lease = kDatabaseLease;
   options.alloc_type = ibp::AllocType::kSoft;
   options.net = config_.net;
   options.parent_span = span;
@@ -149,27 +107,24 @@ void ServerAgent::augment(const lightfield::ViewSetId& id, const exnode::ExNode&
 void ServerAgent::maybe_start() {
   // LIFO: the scheduler "chooses the latest request to assign to the
   // generator" — the newest request is what the interactive user wants now.
-  // With several lanes, the newest requests occupy them newest-first.
-  while (active_ < config_.generator_lanes && !pending_.empty()) {
-    ++active_;
-    Request request = std::move(pending_.back());
-    pending_.pop_back();
-    run_one(std::move(request));
-  }
+  if (busy_ || pending_.empty()) return;
+  busy_ = true;
+  Request request = std::move(pending_.back());
+  pending_.pop_back();
+  run_one(std::move(request));
 }
 
 void ServerAgent::run_one(Request request) {
   // The generator occupies the cluster for the modeled generation time;
   // the actual pixel content is produced by the source.
   sim_.after(generation_cost(), [this, request = std::move(request)]() mutable {
-    Bytes compressed = source_->build_compressed(request.id, config_.pool, config_.lfz2);
+    Bytes compressed = source_->build_compressed(request.id);
     metrics_.generated.inc();
 
     lors::UploadOptions upload;
     upload.depots = config_.depots;
     upload.replicas = config_.replicas;
-    upload.block_bytes = config_.block_bytes;
-    upload.lease = config_.lease;
+    upload.lease = kDatabaseLease;
     upload.net = config_.net;
     // The upload's span chains under server.generate via the ambient
     // register (upload_async opens its span before returning).
@@ -184,8 +139,8 @@ void ServerAgent::run_one(Request request) {
             metrics_.upload_failures.inc();
             obs_.trace.arg(request.span, "outcome", "upload_failed");
             obs_.trace.end(request.span, sim_.now());
-            request.on_done(GenerateStatus::kFailed, exnode::ExNode{});
-            --active_;
+            request.on_done(false, exnode::ExNode{});
+            busy_ = false;
             maybe_start();
             return;
           }
@@ -197,8 +152,8 @@ void ServerAgent::run_one(Request request) {
           dvs_.update_async(node_, request.id, exnode,
                             [this, request = std::move(request), exnode]() mutable {
                               obs_.trace.end(request.span, sim_.now());
-                              request.on_done(GenerateStatus::kOk, exnode);
-                              --active_;
+                              request.on_done(true, exnode);
+                              busy_ = false;
                               maybe_start();
                             });
         });

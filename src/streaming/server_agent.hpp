@@ -16,14 +16,11 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
-#include <optional>
 #include <unordered_map>
 
 #include "lightfield/builder.hpp"
 #include "lors/lors.hpp"
-#include "streaming/admission.hpp"
 #include "streaming/dvs.hpp"
 
 namespace lon::streaming {
@@ -31,37 +28,7 @@ namespace lon::streaming {
 struct ServerAgentConfig {
   std::vector<std::string> depots;        ///< server depots for uploads
   int replicas = 1;
-  std::uint64_t block_bytes = 512 * 1024;
-  SimDuration lease = 24 * 3600 * kSecond;
   sim::TransferOptions net;
-
-  // Generation cost model (virtual time).
-  int processors = 32;                    ///< the paper's cluster size
-  double pixels_per_sec_per_proc = 1.5e6; ///< ray-cast throughput per CPU
-  double io_bytes_per_sec = 25e6;         ///< "most of the time ... disk I/O"
-
-  // Concurrency.
-  /// Requests serviced at once. The cluster's processors are split evenly
-  /// across lanes, so one request on a busy server is slower but N waiting
-  /// clients stop serializing behind each other's uploads.
-  int generator_lanes = 1;
-  /// Pool for the source's LFZ2 chunk compression.
-  ThreadPool* pool = nullptr;
-  /// Emit inter-view-predicted LFZ2 containers instead of plain lfz — fewer
-  /// bytes on the wire, decoded transparently by the client.
-  bool lfz2 = false;
-
-  // --- Overload protection ----------------------------------------------------
-  /// Admission control over the generation queue: bounded queue + deadline
-  /// triage. Per-requester token buckets are not used here (the DVS does not
-  /// forward requester identity); requester fairness is enforced at the
-  /// client agent, which knows which client is asking. Disabled by default —
-  /// the legacy unbounded LIFO queue.
-  AdmissionConfig admission;
-  /// Time-to-need for a freshly queued generation request: a request whose
-  /// estimated completion (generation cost times lane availability) lands
-  /// past this is shed instead of served uselessly late. 0 = no triage.
-  SimDuration deadline = 0;
 
   // --- Demand-driven replica augmentation --------------------------------------
   /// Hot reports on one view set before its replicas are fanned out to an
@@ -84,35 +51,31 @@ class ServerAgent final : public GeneratorService {
 
   [[nodiscard]] sim::NodeId node() const { return node_; }
 
+  // Generation cost model (virtual time).
+  static constexpr int kProcessors = 32;                 ///< the paper's cluster size
+  static constexpr double kPixelsPerSecPerProc = 1.5e6;  ///< ray-cast rate per CPU
+  static constexpr double kIoBytesPerSec = 25e6;  ///< "most of the time ... disk I/O"
+
   /// Virtual-time cost of rendering + compressing + writing one view set.
   [[nodiscard]] SimDuration generation_cost() const;
 
   /// DVS miss path: render at runtime, upload, update the DVS, reply.
   void generate_async(const lightfield::ViewSetId& id, GenerateCallback on_done) override;
 
-  /// Status-carrying path used by the DVS: admission control runs here, and
-  /// a refused request is answered with an explicit kShed the requester can
-  /// retry — never silently queued past the deadline.
-  void generate_with_status_async(const lightfield::ViewSetId& id,
-                                  GenerateStatusCallback on_done) override;
-
   /// Demand-pressure relay from the DVS: past the configured threshold the
   /// hot view set is fanned out to one more depot via `lors` augment (with
   /// per-id cooldown hysteresis), and the DVS learns the wider exNode.
   void note_hot(const lightfield::ViewSetId& id, const exnode::ExNode& exnode) override;
 
-  [[nodiscard]] std::size_t queue_depth() const { return pending_.size(); }
-  [[nodiscard]] int active_lanes() const { return active_; }
   [[nodiscard]] std::uint64_t generated_count() const {
     return metrics_.generated.value();
   }
-  [[nodiscard]] std::uint64_t shed_count() const { return metrics_.sheds.value(); }
   [[nodiscard]] std::uint64_t augment_count() const { return metrics_.augments.value(); }
 
  private:
   struct Request {
     lightfield::ViewSetId id;
-    GenerateStatusCallback on_done;
+    GenerateCallback on_done;
     obs::SpanId span = 0;  ///< server.generate span, queue wait included
   };
 
@@ -120,9 +83,6 @@ class ServerAgent final : public GeneratorService {
     obs::Counter& requests;
     obs::Counter& generated;
     obs::Counter& upload_failures;
-    obs::Counter& sheds;            ///< server.generation_shed
-    obs::Counter& shed_queue_full;
-    obs::Counter& shed_deadline;
     obs::Counter& hot_reports;
     obs::Counter& augments;
     obs::Counter& augment_failures;
@@ -144,10 +104,9 @@ class ServerAgent final : public GeneratorService {
   Metrics metrics_;
 
   std::deque<Request> pending_;  // back = latest; scheduler pops the back (LIFO)
-  int active_ = 0;               // requests currently occupying a lane
+  bool busy_ = false;            // the generator is rendering or uploading
 
-  // Overload protection / augmentation state.
-  AdmissionController admission_;
+  // Augmentation state.
   std::unordered_map<lightfield::ViewSetId, int, lightfield::ViewSetIdHash> hot_counts_;
   std::unordered_map<lightfield::ViewSetId, SimTime, lightfield::ViewSetIdHash>
       augment_not_before_;  ///< per-id cooldown gate (hysteresis)

@@ -14,10 +14,13 @@ enum class AccessClass : std::uint8_t {
   kAgentHit = 0,   ///< in the client agent's memory cache (a "hit")
   kLanDepot = 1,   ///< prestaged on a depot in the client's LAN
   kWan = 2,        ///< fetched across the wide area network
-  kGenerated = 3,  ///< rendered on demand by a server agent
 };
 
 [[nodiscard]] const char* to_string(AccessClass cls);
+
+/// Lease on the server depots' copy of every published view set, whether the
+/// publisher uploaded it offline or the server agent generated it at runtime.
+inline constexpr SimDuration kDatabaseLease = 24 * 3600 * kSecond;
 
 /// One client-observed view-set access (one point of figures 9-12).
 struct AccessRecord {

@@ -96,7 +96,7 @@ TEST(LodSelector, FullResolutionWhenItFitsOrNothingIsConfigured) {
 }
 
 TEST(LodSelector, PicksTheFinestTierThatFits) {
-  const policy::LodSelector sel(policy::LodSelector::Config{/*headroom=*/0.8});
+  const policy::LodSelector sel;
   const std::vector<double> ratios{0.25, 0.0625};
   // Full needs 2 s against an 800 ms effective budget; tier 1 is predicted
   // at 500 ms and fits — the finest acceptable tier wins.

@@ -228,6 +228,34 @@ TEST_F(DvsTest, MissForwardsToServerAgentTable) {
   EXPECT_TRUE(dvs_->knows({2, 5}));
 }
 
+TEST_F(DvsTest, FailedGenerationAnswersAMiss) {
+  // A generator whose render or upload failed: it calls back without an
+  // exNode, and the DVS must answer the forwarded query as a miss and leave
+  // its exNode table untouched.
+  class FailingGenerator : public GeneratorService {
+   public:
+    explicit FailingGenerator(sim::Simulator& sim) : sim_(sim) {}
+    void generate_async(const ViewSetId&, GenerateCallback cb) override {
+      sim_.after(kSecond, [cb] { cb(false, exnode::ExNode{}); });
+    }
+
+   private:
+    sim::Simulator& sim_;
+  };
+  FailingGenerator generator(sim_);
+  dvs_->register_server_agent(&generator);
+
+  std::optional<DvsServer::QueryResult> result;
+  dvs_->query_async(client_, {2, 5}, true,
+                    [&](const DvsServer::QueryResult& r) { result = r; });
+  sim_.run();
+  ASSERT_TRUE(result.has_value());
+  EXPECT_FALSE(result->found);
+  EXPECT_EQ(count("dvs.forwarded"), 1u);
+  EXPECT_EQ(count("dvs.misses"), 1u);
+  EXPECT_FALSE(dvs_->knows({2, 5}));
+}
+
 TEST_F(DvsTest, UpdateAsyncInstallsRemotely) {
   bool done = false;
   dvs_->update_async(client_, {3, 1}, fake_exnode({3, 1}), [&] { done = true; });
@@ -808,17 +836,13 @@ TEST_F(PipelineTest, ServerAgentGeneratesOnDvsMiss) {
   EXPECT_EQ(lightfield::ViewSet::decompress(received), source_->build(id));
 }
 
-TEST_F(PipelineTest, ServerAgentPublishesLfz2WhenConfigured) {
-  // Flip the whole database to the inter-view-predicted container; the
+TEST_F(PipelineTest, AgentDeliversLfz2PayloadsThatDecode) {
+  // A view set published as the inter-view-predicted LFZ2 container: the
   // delivery path and the client-side decode must not care.
-  ServerAgentConfig server_cfg;
-  server_cfg.depots = wan_depots_;
-  server_cfg.lfz2 = true;
-  ServerAgent server(sim_, net_, lors_, *dvs_, server_node_, source_, server_cfg);
-  dvs_->register_server_agent(&server);
+  const ViewSetId id{2, 3};
+  publish_payload(id, source_->build(id).compress_lfz2());
 
   auto agent = make_agent(false, false);
-  const ViewSetId id{2, 3};
   Bytes received;
   agent->request_view_set(id, [&](const ClientAgent::Delivery& d) {
     received = *d.payload;
