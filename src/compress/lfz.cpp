@@ -91,7 +91,7 @@ Bytes compress(std::span<const std::uint8_t> data, const CompressOptions& option
     return header.take();
   }
 
-  const std::vector<Token> tokens = lz77_tokenize(data, options.lz);
+  const std::vector<Token> tokens = lz77_tokenize(data);
 
   // Gather symbol statistics.
   std::vector<std::uint64_t> lit_freq(kLitAlphabet, 0);

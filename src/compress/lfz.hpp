@@ -30,7 +30,6 @@
 namespace lon::lfz {
 
 struct CompressOptions {
-  Lz77Options lz;
   /// Skip entropy coding entirely and emit a stored (method 0) block — for
   /// payloads known to be incompressible (publisher filler) and for the
   /// "stored" row of bench_compression.

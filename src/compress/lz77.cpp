@@ -11,6 +11,11 @@ namespace {
 constexpr std::uint32_t kHashBits = 15;
 constexpr std::uint32_t kHashSize = 1u << kHashBits;
 constexpr std::int32_t kNil = -1;
+// Maximum hash-chain positions examined per match attempt. Higher finds
+// better matches but costs time (zlib levels span roughly 4..4096).
+constexpr int kMaxChain = 128;
+// Stop searching early once a match at least this long is found.
+constexpr std::uint32_t kGoodEnough = 128;
 
 inline std::uint32_t hash3(const std::uint8_t* p) {
   // Multiplicative hash of a 3-byte window.
@@ -49,8 +54,7 @@ inline std::uint32_t match_length(const std::uint8_t* a, const std::uint8_t* b,
 
 }  // namespace
 
-std::vector<Token> lz77_tokenize(std::span<const std::uint8_t> data,
-                                 const Lz77Options& options) {
+std::vector<Token> lz77_tokenize(std::span<const std::uint8_t> data) {
   std::vector<Token> tokens;
   const std::size_t n = data.size();
   if (n == 0) return tokens;
@@ -73,7 +77,7 @@ std::vector<Token> lz77_tokenize(std::span<const std::uint8_t> data,
     std::uint32_t best_len = 0;
     std::uint32_t best_dist = 0;
     std::int32_t candidate = head[hash3(data.data() + pos)];
-    int chain = options.max_chain;
+    int chain = kMaxChain;
     while (candidate != kNil && chain-- > 0) {
       const auto cpos = static_cast<std::size_t>(candidate);
       if (pos - cpos > kWindowSize) break;
@@ -81,7 +85,7 @@ std::vector<Token> lz77_tokenize(std::span<const std::uint8_t> data,
       if (len > best_len) {
         best_len = len;
         best_dist = static_cast<std::uint32_t>(pos - cpos);
-        if (len >= options.good_enough || len == limit) break;
+        if (len >= kGoodEnough || len == limit) break;
       }
       candidate = prev[cpos];
     }
@@ -92,7 +96,7 @@ std::vector<Token> lz77_tokenize(std::span<const std::uint8_t> data,
   std::size_t pos = 0;
   while (pos < n) {
     Token token = find_match(pos);
-    if (!token.is_literal() && options.lazy && pos + 1 < n) {
+    if (!token.is_literal() && pos + 1 < n) {
       // One-step lazy evaluation: emit a literal instead if the next
       // position has a strictly longer match.
       insert(pos);

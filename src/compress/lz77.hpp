@@ -2,7 +2,7 @@
 //
 // Produces a token stream of literals and (length, distance) references with
 // lengths in [3, 258] and distances in [1, 32768]. Greedy matching with a
-// one-step lazy evaluation, chain length bounded by the compression level.
+// one-step lazy evaluation and a bounded hash-chain search.
 #pragma once
 
 #include <cstdint>
@@ -31,21 +31,9 @@ struct Token {
   }
 };
 
-struct Lz77Options {
-  /// Maximum hash-chain positions examined per match attempt. Higher finds
-  /// better matches but costs time (zlib levels span roughly 4..4096).
-  int max_chain = 128;
-  /// Stop searching early once a match at least this long is found.
-  std::uint32_t good_enough = 128;
-  /// Enable one-step lazy matching (defer a match if the next position
-  /// yields a strictly longer one).
-  bool lazy = true;
-};
-
 /// Tokenizes `data`. The output always reproduces `data` exactly when
 /// expanded.
-std::vector<Token> lz77_tokenize(std::span<const std::uint8_t> data,
-                                 const Lz77Options& options = {});
+std::vector<Token> lz77_tokenize(std::span<const std::uint8_t> data);
 
 /// Expands a token stream produced by lz77_tokenize. Throws DecodeError on
 /// references reaching before the start of output.

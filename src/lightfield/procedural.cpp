@@ -6,8 +6,7 @@
 
 namespace lon::lightfield {
 
-ProceduralSource::ProceduralSource(const LatticeConfig& config, ProceduralOptions options)
-    : lattice_(config), options_(options) {}
+ProceduralSource::ProceduralSource(const LatticeConfig& config) : lattice_(config) {}
 
 render::ImageRGB8 ProceduralSource::render_sample(std::size_t row, std::size_t col) const {
   const std::size_t r = lattice_.config().view_resolution;
@@ -17,11 +16,11 @@ render::ImageRGB8 ProceduralSource::render_sample(std::size_t row, std::size_t c
   // Blob parameters are global to the dataset (seeded), their projected
   // positions depend smoothly on the view angles — neighbouring sample views
   // look alike, exactly the view coherence real light fields exhibit.
-  Rng rng(options_.seed);
+  Rng rng(kSeed);
   struct Blob {
     double u, v, radius, r_col, g_col, b_col, depth;
   };
-  std::vector<Blob> blobs(static_cast<std::size_t>(options_.blobs));
+  std::vector<Blob> blobs(static_cast<std::size_t>(kBlobs));
   for (auto& blob : blobs) {
     blob.u = rng.uniform(-0.6, 0.6);
     blob.v = rng.uniform(-0.6, 0.6);
@@ -30,20 +29,15 @@ render::ImageRGB8 ProceduralSource::render_sample(std::size_t row, std::size_t c
     blob.r_col = rng.uniform(0.3, 1.0);
     blob.g_col = rng.uniform(0.3, 1.0);
     blob.b_col = rng.uniform(0.3, 1.0);
-    // Animated datasets: features drift along seeded velocities.
-    if (options_.time_phase != 0.0) {
-      blob.u += rng.uniform(-1.0, 1.0) * options_.time_phase;
-      blob.v += rng.uniform(-1.0, 1.0) * options_.time_phase;
-      blob.depth += rng.uniform(-0.5, 0.5) * options_.time_phase;
-    } else {
-      // Burn the same three draws so phase 0 matches animated frame 0.
-      (void)rng.uniform(-1.0, 1.0);
-      (void)rng.uniform(-1.0, 1.0);
-      (void)rng.uniform(-0.5, 0.5);
-    }
+    // Three more draws per blob that nothing reads. Dropping them would
+    // shift every later blob's parameters, and with them every synthesized
+    // pixel, compressed size and digest.
+    (void)rng.uniform(-1.0, 1.0);
+    (void)rng.uniform(-1.0, 1.0);
+    (void)rng.uniform(-0.5, 0.5);
   }
 
-  Rng noise_rng(options_.seed ^ (row * 1315423911ull) ^ (col * 2654435761ull));
+  Rng noise_rng(kSeed ^ (row * 1315423911ull) ^ (col * 2654435761ull));
   const double ct = std::cos(dir.theta), st = std::sin(dir.theta);
   const double cp = std::cos(dir.phi), sp = std::sin(dir.phi);
   for (std::size_t y = 0; y < r; ++y) {
@@ -63,10 +57,7 @@ render::ImageRGB8 ProceduralSource::render_sample(std::size_t row, std::size_t c
         bb += w * blob.b_col;
       }
       auto to_byte = [&](double v) {
-        double value = options_.contrast * v;
-        if (options_.noise > 0.0) {
-          value += options_.noise * (noise_rng.uniform() - 0.5);
-        }
+        const double value = kContrast * v + kNoise * (noise_rng.uniform() - 0.5);
         return static_cast<std::uint8_t>(std::clamp(value, 0.0, 1.0) * 255.0 + 0.5);
       };
       image.set(x, y, {to_byte(rr), to_byte(gg), to_byte(bb)});

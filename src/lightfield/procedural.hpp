@@ -6,7 +6,7 @@
 // imagery (a few blobs whose screen positions rotate with the camera angles)
 // directly, skipping ray casting, but still pushes the pixels through the
 // real filter + lfz pipeline, so compressed sizes, ratios and decompression
-// cost are the genuine article. Deterministic per (seed, id).
+// cost are the genuine article. Deterministic per id.
 #pragma once
 
 #include <cstdint>
@@ -15,23 +15,19 @@
 
 namespace lon::lightfield {
 
-struct ProceduralOptions {
-  std::uint64_t seed = 2003;
-  int blobs = 6;        ///< feature count per view
-  double contrast = 0.9;
-  /// Per-pixel dither amplitude (fraction of full scale). The default of
-  /// ~half a gray level keeps the lfz compression ratio in the paper's 5-7x
-  /// band across resolutions (noiseless synthetic imagery is unrealistically
-  /// smooth at 500^2+).
-  double noise = 0.002;
-  /// Time phase for animated datasets: blob positions drift with this phase
-  /// along seeded velocity directions (see lightfield::TemporalSource).
-  double time_phase = 0.0;
-};
-
 class ProceduralSource final : public ViewSetSource {
  public:
-  ProceduralSource(const LatticeConfig& config, ProceduralOptions options = {});
+  /// Seed of the dataset's blob parameters and per-view dither.
+  static constexpr std::uint64_t kSeed = 2003;
+  static constexpr int kBlobs = 6;  ///< feature count per view
+  static constexpr double kContrast = 0.9;
+  /// Per-pixel dither amplitude (fraction of full scale). About half a gray
+  /// level keeps the lfz compression ratio in the paper's 5-7x band across
+  /// resolutions (noiseless synthetic imagery is unrealistically smooth at
+  /// 500^2+).
+  static constexpr double kNoise = 0.002;
+
+  explicit ProceduralSource(const LatticeConfig& config);
 
   [[nodiscard]] const SphericalLattice& lattice() const override { return lattice_; }
 
@@ -42,7 +38,6 @@ class ProceduralSource final : public ViewSetSource {
 
  private:
   SphericalLattice lattice_;
-  ProceduralOptions options_;
 };
 
 }  // namespace lon::lightfield

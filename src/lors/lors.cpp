@@ -5,6 +5,7 @@
 #include <set>
 #include <span>
 
+#include "util/buffer_pool.hpp"
 #include "util/checksum.hpp"
 #include "util/log.hpp"
 
@@ -428,9 +429,7 @@ void Lors::download_async(sim::NodeId client, const exnode::ExNode& node,
   // The result slab comes from a buffer pool: a steady-state client re-uses
   // the same few slabs instead of churning the allocator per access, and the
   // slab travels by reference all the way to the renderer.
-  auto& buffers =
-      options.buffers != nullptr ? *options.buffers : util::BufferPool::shared();
-  st->data = buffers.acquire(node.length());
+  st->data = util::BufferPool::shared().acquire(node.length());
   st->fabric = &fabric_;
   st->net = &net_;
   st->sim = &sim_;

@@ -28,7 +28,6 @@
 #include "ibp/service.hpp"
 #include "obs/obs.hpp"
 #include "simnet/network.hpp"
-#include "util/buffer_pool.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -84,8 +83,6 @@ struct DownloadOptions {
   /// Parent for the lors.download trace span — lets the span chain survive
   /// the async hop from whoever requested the download.
   obs::SpanId parent_span = 0;
-  /// Pool the result slab is acquired from (null = util::BufferPool::shared()).
-  util::BufferPool* buffers = nullptr;
 };
 
 struct AugmentOptions {

@@ -72,14 +72,13 @@ class Gauge {
 /// Power-of-two-bucketed histogram over non-negative nanosecond durations,
 /// with exact count/sum/min/max and bucket-estimated percentiles.
 ///
-/// This generalizes (rather than duplicates) volume::Histogram, which is a
-/// linear-binned density over scalar values in [0,1]: latencies span eight
-/// decades (100 us agent hits to multi-second WAN fetches), so buckets grow
-/// geometrically. Bucket b >= 1 covers [2^(b-1), 2^b) ns; bucket 0 holds
-/// zero-or-negative samples. Percentiles share the rank convention of the
-/// (fixed) volume::Histogram::percentile: the smallest bucket whose
-/// cumulative count reaches ceil(fraction * count), reported as the bucket
-/// midpoint clamped to the exactly-tracked [min, max].
+/// Latencies span eight decades (100 us agent hits to multi-second WAN
+/// fetches), so buckets grow geometrically. Bucket b >= 1 covers
+/// [2^(b-1), 2^b) ns; bucket 0 holds zero-or-negative samples. The
+/// percentile for `fraction` (clamped to [0, 1]) comes from the smallest
+/// bucket whose cumulative count reaches the rank
+/// max(1, ceil(fraction * count)): that bucket's midpoint, clamped to the
+/// exactly-tracked [min, max].
 class LatencyHistogram {
  public:
   static constexpr std::size_t kBuckets = 64;

@@ -22,16 +22,16 @@ inline constexpr std::size_t kFetchClasses = 2;
 
 class FetchLatencyEstimator {
  public:
+  static constexpr double kAlpha = 0.3;  ///< EWMA weight of new samples
+  static constexpr SimDuration kLanPrior = 20 * kMillisecond;
+
   struct Config {
-    double alpha = 0.3;                      ///< EWMA weight of new samples
-    SimDuration lan_prior = 20 * kMillisecond;
     SimDuration wan_prior = 800 * kMillisecond;
   };
 
   FetchLatencyEstimator() : FetchLatencyEstimator(Config{}) {}
-  explicit FetchLatencyEstimator(const Config& config) : config_(config) {
-    estimates_[static_cast<std::size_t>(FetchClass::kLan)] =
-        static_cast<double>(config.lan_prior);
+  explicit FetchLatencyEstimator(const Config& config) {
+    estimates_[static_cast<std::size_t>(FetchClass::kLan)] = static_cast<double>(kLanPrior);
     estimates_[static_cast<std::size_t>(FetchClass::kWan)] =
         static_cast<double>(config.wan_prior);
   }
@@ -41,7 +41,7 @@ class FetchLatencyEstimator {
     std::uint64_t& n = samples_[static_cast<std::size_t>(cls)];
     // First sample replaces the prior outright; later ones blend.
     e = n == 0 ? static_cast<double>(latency)
-               : config_.alpha * static_cast<double>(latency) + (1.0 - config_.alpha) * e;
+               : kAlpha * static_cast<double>(latency) + (1.0 - kAlpha) * e;
     ++n;
   }
 
@@ -53,7 +53,6 @@ class FetchLatencyEstimator {
   }
 
  private:
-  Config config_;
   std::array<double, kFetchClasses> estimates_{};
   std::array<std::uint64_t, kFetchClasses> samples_{};
 };

@@ -24,7 +24,7 @@ void CursorMotionModel::observe(const Spherical& dir, SimTime now) {
   const double d_theta = dir.theta - position_.theta;
   const double d_phi = wrap_angle(dir.phi - position_.phi);
   const double jump = std::sqrt(d_theta * d_theta + d_phi * d_phi);
-  if (dt > config_.max_gap || jump > config_.teleport_rad) {
+  if (dt > kMaxGap || jump > kTeleportRad) {
     // Idle gap or teleport: the previous trajectory is over.
     reset();
     position_ = dir;
@@ -41,8 +41,8 @@ void CursorMotionModel::observe(const Spherical& dir, SimTime now) {
     v_phi_ = vp;
     has_estimate_ = true;
   } else {
-    v_theta_ = config_.alpha * vt + (1.0 - config_.alpha) * v_theta_;
-    v_phi_ = config_.alpha * vp + (1.0 - config_.alpha) * v_phi_;
+    v_theta_ = kAlpha * vt + (1.0 - kAlpha) * v_theta_;
+    v_phi_ = kAlpha * vp + (1.0 - kAlpha) * v_phi_;
   }
   position_ = dir;
   last_at_ = now;

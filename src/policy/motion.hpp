@@ -19,25 +19,20 @@
 
 namespace lon::policy {
 
-struct MotionConfig {
-  /// EWMA weight of the newest velocity sample (higher = adapts faster to
-  /// reversals, noisier on jittery input).
-  double alpha = 0.5;
-  /// Samples farther apart than this reset the model (the user idled; the
-  /// old velocity says nothing about what happens next).
-  SimDuration max_gap = 10 * kSecond;
-  /// A jump larger than this (radians) between consecutive samples is a
-  /// teleport, not motion: reset rather than infer an absurd velocity.
-  double teleport_rad = 0.6;
-};
-
 /// Wraps an angular difference into [-pi, pi).
 [[nodiscard]] double wrap_angle(double rad);
 
 class CursorMotionModel {
  public:
-  CursorMotionModel() = default;
-  explicit CursorMotionModel(const MotionConfig& config) : config_(config) {}
+  /// EWMA weight of the newest velocity sample (higher = adapts faster to
+  /// reversals, noisier on jittery input).
+  static constexpr double kAlpha = 0.5;
+  /// Samples farther apart than this reset the model (the user idled; the
+  /// old velocity says nothing about what happens next).
+  static constexpr SimDuration kMaxGap = 10 * kSecond;
+  /// A jump larger than this (radians) between consecutive samples is a
+  /// teleport, not motion: reset rather than infer an absurd velocity.
+  static constexpr double kTeleportRad = 0.6;
 
   /// Feeds one cursor sample at virtual time `now`. Samples at a repeated
   /// timestamp are ignored (duplicate notifies carry no velocity signal).
@@ -64,12 +59,7 @@ class CursorMotionModel {
   /// Forgets everything (teleport, reset between scripts).
   void reset();
 
-  /// Resets the model exactly when observe() would have: exposed so tests
-  /// can assert the teleport/gap discipline.
-  [[nodiscard]] const MotionConfig& config() const { return config_; }
-
  private:
-  MotionConfig config_;
   Spherical position_{};
   SimTime last_at_ = 0;
   bool has_sample_ = false;

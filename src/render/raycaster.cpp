@@ -49,9 +49,9 @@ Rgb8 RayCaster::cast(const Ray& ray) const {
       if (mag > 1e-9) {
         // Headlight: light arrives along the viewing direction.
         const double ndotl = std::abs(grad.dot(ray.direction)) / mag;
-        shade = options_.ambient + options_.diffuse * ndotl;
+        shade = kAmbient + kDiffuse * ndotl;
       } else {
-        shade = options_.ambient + options_.diffuse * 0.5;
+        shade = kAmbient + kDiffuse * 0.5;
       }
     }
 
@@ -62,7 +62,7 @@ Rgb8 RayCaster::cast(const Ray& ray) const {
     g += weight * c.g * shade;
     b += weight * c.b * shade;
     alpha += weight;
-    if (alpha >= options_.early_termination) break;
+    if (alpha >= kEarlyTermination) break;
   }
 
   // Composite over the background.

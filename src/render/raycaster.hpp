@@ -20,15 +20,18 @@ namespace lon::render {
 
 struct RayCastOptions {
   double step = 0.01;                 ///< world-space sampling step
-  double early_termination = 0.98;    ///< stop when accumulated alpha passes this
   bool shading = true;                ///< gradient headlight shading
-  double ambient = 0.35;
-  double diffuse = 0.65;
   Rgb8 background{0, 0, 0};
 };
 
 class RayCaster {
  public:
+  /// A ray stops once its accumulated alpha passes this.
+  static constexpr double kEarlyTermination = 0.98;
+  /// Headlight shading terms: shade = ambient + diffuse * |cos(normal, ray)|.
+  static constexpr double kAmbient = 0.35;
+  static constexpr double kDiffuse = 0.65;
+
   RayCaster(const volume::ScalarVolume& vol, volume::TransferFunction tf,
             RayCastOptions options = {});
 

@@ -87,7 +87,6 @@ ClientAgent::ClientAgent(sim::Simulator& sim, sim::Network& net, ibp::Fabric& fa
                scope_.gauge("agent.demand_wan_active")},
       cache_(config_.cache_bytes),
       admission_(config_.admission),
-      motion_(config_.motion),
       latency_(config_.latency) {
   if (config_.staging && config_.lan_depots.empty()) {
     throw std::invalid_argument("ClientAgent: staging enabled without LAN depots");

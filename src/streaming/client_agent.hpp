@@ -86,8 +86,7 @@ struct ClientAgentConfig {
   /// Cache replacement: LRU (paper), angular distance, or the hybrid that
   /// protects the demand working set from prefetch pollution.
   policy::EvictionStrategy eviction = policy::EvictionStrategy::kLru;
-  policy::MotionConfig motion;                    ///< cursor motion model knobs
-  policy::FetchLatencyEstimator::Config latency;  ///< per-class latency priors
+  policy::FetchLatencyEstimator::Config latency;  ///< WAN latency prior
   /// Concurrent prefetch fetches allowed (0 = unlimited, the legacy
   /// behaviour of issuing every quadrant target).
   std::size_t prefetch_max_inflight = 0;

@@ -143,8 +143,8 @@ TEST(Huffman, EncodeDecodeRoundTrip) {
 
 // --- lz77 -----------------------------------------------------------------------
 
-Bytes expand_via_tokens(const Bytes& input, const Lz77Options& opts = {}) {
-  const auto tokens = lz77_tokenize(input, opts);
+Bytes expand_via_tokens(const Bytes& input) {
+  const auto tokens = lz77_tokenize(input);
   return lz77_expand(tokens, input.size());
 }
 
@@ -184,15 +184,6 @@ TEST(Lz77, RandomDataRoundTrips) {
   Bytes input(50'000);
   for (auto& b : input) b = static_cast<std::uint8_t>(rng.below(256));
   EXPECT_EQ(expand_via_tokens(input), input);
-}
-
-TEST(Lz77, LazyOffAlsoRoundTrips) {
-  Rng rng(29);
-  Bytes input(20'000);
-  for (auto& b : input) b = static_cast<std::uint8_t>(rng.below(8));  // matchy data
-  Lz77Options opts;
-  opts.lazy = false;
-  EXPECT_EQ(expand_via_tokens(input, opts), input);
 }
 
 TEST(Lz77, ExpandRejectsBadReferences) {
@@ -302,6 +293,55 @@ TEST(Lfz, DetectsTruncation) {
   const Bytes packed = compress(Bytes(5000, 7));
   const Bytes cut(packed.begin(), packed.begin() + static_cast<long>(packed.size() / 2));
   EXPECT_THROW(decompress(cut), DecodeError);
+}
+
+// --- chunked lfz ------------------------------------------------------------------
+
+TEST(ChunkedLfz, RoundTripWithAndWithoutPool) {
+  Rng rng(5);
+  Bytes data(3'000'000);
+  std::uint8_t value = 0;
+  for (auto& b : data) {
+    if (rng.below(50) == 0) value = static_cast<std::uint8_t>(rng.next());
+    b = value;
+  }
+  const Bytes packed = compress_chunked(data, 512 * 1024);
+  EXPECT_TRUE(is_chunked(packed));
+  EXPECT_FALSE(is_chunked(compress(Bytes{1, 2, 3})));
+  EXPECT_EQ(decompress_chunked(packed), data);
+
+  ThreadPool pool(4);
+  const Bytes packed_par = compress_chunked(data, 512 * 1024, {}, &pool);
+  EXPECT_EQ(packed_par, packed);  // parallelism never changes the bytes
+  EXPECT_EQ(decompress_chunked(packed_par, &pool), data);
+}
+
+TEST(ChunkedLfz, EmptyAndSingleChunk) {
+  EXPECT_TRUE(decompress_chunked(compress_chunked({}, 1024)).empty());
+  const Bytes tiny = {1, 2, 3};
+  EXPECT_EQ(decompress_chunked(compress_chunked(tiny, 1024)), tiny);
+}
+
+TEST(ChunkedLfz, CorruptionIsDetectedAcrossChunkBoundaries) {
+  Bytes data(200'000, 0x42);
+  Bytes packed = compress_chunked(data, 64 * 1024);
+  packed[packed.size() / 2] ^= 0xff;  // damage some interior chunk
+  EXPECT_THROW(decompress_chunked(packed), DecodeError);
+  EXPECT_THROW(compress_chunked(data, 0), std::invalid_argument);
+  EXPECT_THROW(decompress_chunked(Bytes{1, 2, 3, 4, 5}), DecodeError);
+}
+
+TEST(ChunkedLfz, RatioCostOfChunkingIsModest) {
+  Rng rng(8);
+  Bytes data(2'000'000);
+  std::uint8_t value = 0;
+  for (auto& b : data) {
+    if (rng.below(30) == 0) value = static_cast<std::uint8_t>(rng.next());
+    b = value;
+  }
+  const std::size_t whole = compress(data).size();
+  const std::size_t chunked = compress_chunked(data, 256 * 1024).size();
+  EXPECT_LT(static_cast<double>(chunked), 1.15 * static_cast<double>(whole));
 }
 
 // --- filters --------------------------------------------------------------------
@@ -695,7 +735,7 @@ TEST(FilterKernels, UnfilterRowFastMatchesScalarOnRandomRows) {
 
 TEST(FilterKernels, UnfilterImageFastMatchesScalarAndRoundTrips) {
   Rng rng(77);
-  for (const auto [width, height, bpp] :
+  for (const auto& [width, height, bpp] :
        {std::tuple<std::size_t, std::size_t, std::size_t>{64, 48, 3},
         {1, 1, 4}, {17, 5, 1}, {2, 300, 2}}) {
     Bytes image(width * height * bpp);

@@ -13,6 +13,7 @@
 #include "lightfield/procedural.hpp"
 #include "lightfield/renderer.hpp"
 #include "lightfield/viewset.hpp"
+#include "util/checksum.hpp"
 #include "util/rng.hpp"
 #include "volume/synthetic.hpp"
 
@@ -484,6 +485,18 @@ TEST(Builders, ProceduralNeighborViewsAreCoherent) {
   const auto far = source.render_sample(10, 17);
   EXPECT_LT(base.mean_abs_diff(near), base.mean_abs_diff(far));
   EXPECT_GT(base.mean_abs_diff(far), 2.0);
+}
+
+TEST(Builders, ProceduralBytesArePinned) {
+  // Reference values for the synthesis constants (seed, blob count, contrast,
+  // dither) and the three RNG draws burned per blob, and for the lfz matcher's
+  // constants: changing any of them moves every published size and digest.
+  ProceduralSource source(small_config(16));
+  const ViewSet vs = source.build({1, 2});
+  EXPECT_EQ(crc32(vs.serialize()), 0x9c488186u);
+  const Bytes packed = vs.compress();
+  EXPECT_EQ(packed.size(), 4064u);
+  EXPECT_EQ(crc32(packed), 0x8506d43fu);
 }
 
 TEST(Builders, ProceduralCompressionRatioInPaperRange) {

@@ -1,8 +1,7 @@
 // Observability layer tests: registry identity and aggregation, latency
 // histogram semantics, span parenting across virtual-time hops, exporter
-// output — plus regression tests for the cache re-put, volume-histogram
-// percentile, and thread-pool exception-propagation fixes that shipped with
-// the layer.
+// output — plus regression tests for the cache re-put and thread-pool
+// exception-propagation fixes that shipped with the layer.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -21,7 +20,6 @@
 #include "simnet/simulator.hpp"
 #include "streaming/cache.hpp"
 #include "util/thread_pool.hpp"
-#include "volume/histogram.hpp"
 
 namespace lon {
 namespace {
@@ -271,32 +269,6 @@ TEST(ViewSetCacheRegression, ReputDoesNotEvictOtherEntriesToFitItsOwnOldBytes) {
   EXPECT_TRUE(cache.contains(b));
   EXPECT_EQ(cache.bytes_used(), 100u);
   EXPECT_EQ(cache.evictions(), 0u);
-}
-
-// --- regression: volume::Histogram::percentile --------------------------------
-
-TEST(VolumeHistogramRegression, SmallFractionsReportTheFirstPopulatedBin) {
-  volume::Histogram h;
-  h.bins = {0, 0, 0, 5};
-  h.total = 5;
-  // A rank of ceil(0.01 * 5) = 1 lives in the last bin; the old truncation
-  // to rank 0 reported bin 0's center even though it is empty.
-  EXPECT_DOUBLE_EQ(h.percentile(0.01), h.bin_center(3));
-  EXPECT_DOUBLE_EQ(h.percentile(1.0), h.bin_center(3));
-}
-
-TEST(VolumeHistogramRegression, PercentileIsMonotonicAcrossBins) {
-  volume::Histogram h;
-  h.bins = {10, 0, 10, 0};
-  h.total = 20;
-  EXPECT_DOUBLE_EQ(h.percentile(0.5), h.bin_center(0));
-  EXPECT_DOUBLE_EQ(h.percentile(0.51), h.bin_center(2));
-  double prev = 0.0;
-  for (double f = 0.0; f <= 1.0; f += 0.05) {
-    const double v = h.percentile(f);
-    EXPECT_GE(v, prev);
-    prev = v;
-  }
 }
 
 // --- regression: ThreadPool::parallel_for -------------------------------------

@@ -73,7 +73,7 @@ TEST(Motion, TeleportResetsTheEstimate) {
   motion.observe({1.2, 0.5}, 0);
   motion.observe({1.2, 0.6}, 100 * kMillisecond);
   ASSERT_TRUE(motion.has_estimate());
-  motion.observe({1.2, 0.6 + kPi}, 200 * kMillisecond);  // > teleport_rad jump
+  motion.observe({1.2, 0.6 + kPi}, 200 * kMillisecond);  // > kTeleportRad jump
   EXPECT_FALSE(motion.has_estimate());
   // Two compatible samples after the jump re-arm the model.
   motion.observe({1.2, 0.6 + kPi + 0.1}, 300 * kMillisecond);
@@ -85,7 +85,7 @@ TEST(Motion, IdleGapResetsTheEstimate) {
   motion.observe({1.2, 0.5}, 0);
   motion.observe({1.2, 0.6}, 100 * kMillisecond);
   ASSERT_TRUE(motion.has_estimate());
-  motion.observe({1.2, 0.7}, 100 * kMillisecond + motion.config().max_gap + kSecond);
+  motion.observe({1.2, 0.7}, 100 * kMillisecond + CursorMotionModel::kMaxGap + kSecond);
   EXPECT_FALSE(motion.has_estimate());
 }
 

@@ -268,7 +268,8 @@ TEST_P(ExNodeCoverage, CompleteIffNoGapsAndAllReplicated) {
       damaged = true;  // extent exists but has no replica
     } else {
       exnode::Replica rep;
-      rep.read.depot = "d" + std::to_string(i % 3);
+      rep.read.depot = "d";
+      rep.read.depot += std::to_string(i % 3);
       rep.read.allocation = i;
       rep.read.key = 1;
       extent.replicas.push_back(rep);

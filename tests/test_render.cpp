@@ -7,6 +7,7 @@
 #include "render/camera.hpp"
 #include "render/image.hpp"
 #include "render/raycaster.hpp"
+#include "util/checksum.hpp"
 #include "volume/synthetic.hpp"
 #include "volume/transfer.hpp"
 
@@ -201,6 +202,14 @@ TEST_F(RayCasterTest, StepSizeChangesLittleThanksToOpacityCorrection) {
   const ImageRGB8 b = RayCaster(vol_, tf, fine).render(cam, 32, 32);
   // Opacity correction keeps the two renderings close (not identical).
   EXPECT_LT(a.mean_abs_diff(b), 12.0);
+}
+
+TEST_F(RayCasterTest, DefaultImageIsPinned) {
+  // Reference value for the early termination, ambient and diffuse terms: no
+  // perf-gate bench or benchmark workload ray-casts, so this test guards them.
+  const RayCaster rc(vol_, volume::TransferFunction::neghip_preset());
+  const Camera cam = Camera::look_at({1.5, 1.0, 2.5}, {0, 0, 0}, {0, 1, 0}, 45.0);
+  EXPECT_EQ(crc32(rc.render(cam, 32, 32).bytes()), 0xf983b76du);
 }
 
 TEST_F(RayCasterTest, ViewFromOppositeSidesDiffers) {
