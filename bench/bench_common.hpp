@@ -28,7 +28,7 @@ inline session::ExperimentConfig paper_config(std::size_t resolution,
   cfg.accesses = 58;
   cfg.dwell = 2 * kSecond;
   cfg.client.display_resolution = resolution;
-  cfg.client.timing = streaming::ClientConfig::Timing::kMeasured;
+  cfg.client.timing = streaming::ClientConfig::Timing::kModeled;
   return cfg;
 }
 

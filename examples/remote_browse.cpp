@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
   cfg.accesses = accesses;
   cfg.dwell = 2 * kSecond;
   cfg.client.display_resolution = 160;
-  cfg.client.timing = streaming::ClientConfig::Timing::kMeasured;
+  cfg.client.timing = streaming::ClientConfig::Timing::kModeled;
 
   std::printf("running %s with %zu view-set accesses over the simulated WAN...\n\n",
               session::to_string(cfg.which), accesses);

@@ -138,14 +138,14 @@ class Depot {
   /// allocation's buffer and writes into the clone, so no earlier snapshot
   /// changes.
   IbpStatus store(const Capability& write_cap, std::uint64_t offset, const Snapshot& data);
-  /// Copying form (wire protocol, tests): stores a private copy of data.
+  /// Copying form (tests): stores a private copy of data.
   IbpStatus store(const Capability& write_cap, std::uint64_t offset,
                   std::span<const std::uint8_t> data);
 
   /// Serves length bytes at offset as a snapshot of the allocation's buffer.
   IbpStatus load(const Capability& read_cap, std::uint64_t offset, std::uint64_t length,
                  Snapshot& out);
-  /// Copying form (wire protocol, tests): reads the bytes into out.
+  /// Copying form (tests): reads the bytes into out.
   IbpStatus load(const Capability& read_cap, std::uint64_t offset, std::uint64_t length,
                  Bytes& out);
 

@@ -13,7 +13,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <tuple>
 #include <unordered_map>
 
 #include "ibp/depot.hpp"
@@ -105,33 +104,23 @@ class Fabric {
                    Bytes data, const sim::TransferOptions& net_options,
                    StoreCallback on_done);
 
-  using LoadCallback = std::function<void(IbpStatus, Bytes)>;
+  using LoadCallback = std::function<void(IbpStatus, std::size_t)>;
   /// Downloads bytes from an allocation: request to depot, bulk flow
   /// depot -> client. The depot serves a snapshot of the allocation taken
-  /// when the request arrives; the Bytes handed to `on_done` are one metered
-  /// delivery copy of it.
-  void load_async(sim::NodeId client, const Capability& read_cap, std::uint64_t offset,
-                  std::uint64_t length, const sim::TransferOptions& net_options,
-                  LoadCallback on_done);
-
-  using LoadIntoCallback = std::function<void(IbpStatus, std::size_t)>;
-  /// Scatter-gather variant: the loaded bytes land directly at
+  /// when the request arrives, and the bytes land directly at
   /// dest->data() + dest_offset (which must already cover `length` bytes) —
-  /// the model of a NIC delivering into a caller-owned slab. Depot-side
-  /// semantics (snapshot, disk queue, corruption hook, offline behaviour) are
-  /// identical to the Bytes-returning overload; the single client-side
-  /// landing pass, straight from the depot's buffer, is the one payload copy
-  /// of a download and is charged to the payload-copy meter. The callback
-  /// reports how many bytes landed (0 on failure). The destination is written
-  /// only on success, and only on the simulator thread.
+  /// the model of a NIC delivering into a caller-owned slab. That landing
+  /// pass, straight from the depot's buffer, is the one payload copy of a
+  /// download and is charged to the payload-copy meter. The callback reports
+  /// how many bytes landed (0 on failure). The destination is written only
+  /// on success, and only on the simulator thread.
   void load_async(sim::NodeId client, const Capability& read_cap, std::uint64_t offset,
                   std::uint64_t length, const sim::TransferOptions& net_options,
                   std::shared_ptr<Bytes> dest, std::uint64_t dest_offset,
-                  LoadIntoCallback on_done);
+                  LoadCallback on_done);
 
   using ProbeCallback = std::function<void(IbpStatus, const AllocInfo&)>;
-  /// Remote probe (manage capability). The request and reply travel as
-  /// protocol-encoded messages (see ibp/protocol.hpp).
+  /// Remote probe (manage capability).
   void probe_async(sim::NodeId client, const Capability& manage_cap,
                    ProbeCallback on_done);
 
@@ -172,11 +161,36 @@ class Fabric {
     bool offline = false;
   };
 
-  /// Runs fn after the one-way control-message latency from `from` to the
-  /// depot's node plus the depot op overhead. If the two nodes are
-  /// partitioned the request is lost: fn never runs and only the caller's
+  // The prologue every remote operation shares (defined in service.cpp).
+
+  /// Reports kNotFound to `cb` at the current instant, with no deadline.
+  template <typename... Rest>
+  void not_found(std::function<void(IbpStatus, Rest...)> cb);
+
+  /// Looks up the depot an operation addresses; an unknown one gets
+  /// not_found(). Otherwise replaces `cb` with its deadline-armed wrapper
+  /// and rolls the drop hook. Returns the depot, or nullptr when the
+  /// operation ends here.
+  template <typename... Rest>
+  Hosted* open(const std::string& depot, SimDuration timeout,
+               std::function<void(IbpStatus, Rest...)>& cb);
+
+  /// Sends a request from `client` to `hosted`. After the one-way
+  /// control-message latency plus the depot op overhead, an offline depot
+  /// replies kRefused and a live one runs serve(cb). If the two nodes are
+  /// partitioned the request is lost: nothing runs and only the caller's
   /// deadline (if any) reports the failure.
-  void at_depot(sim::NodeId from, sim::NodeId depot_node, std::function<void()> fn);
+  template <typename... Rest, typename Serve>
+  void at_depot(sim::NodeId client, Hosted& hosted,
+                std::function<void(IbpStatus, Rest...)> cb, Serve serve);
+
+  /// Wraps `cb` so that whichever fires first wins: the real completion or a
+  /// timeout event reporting kTimeout. With timeout <= 0 the callback is
+  /// returned unwrapped (no deadline). The disarmed timer is cancelled so it
+  /// neither runs nor drags the virtual clock forward.
+  template <typename... Rest>
+  std::function<void(IbpStatus, Rest...)> with_deadline(
+      SimDuration timeout, std::function<void(IbpStatus, Rest...)> cb);
 
   /// Delivers a reply from the depot back to the client, or loses it if the
   /// route vanished while the operation was in progress.
@@ -188,34 +202,6 @@ class Fabric {
   /// Runs the corrupt hook, if one is installed, on a private copy of the
   /// range `depot` is serving, and serves that copy instead.
   void run_corrupt_hook(const std::string& depot, Snapshot& payload);
-
-  /// Wraps `cb` so that whichever fires first wins: the real completion or a
-  /// timeout event reporting kTimeout via `on_timeout`. With timeout <= 0 the
-  /// callback is returned unwrapped (no deadline). The disarmed timer is
-  /// cancelled so it neither runs nor drags the virtual clock forward.
-  template <typename... Args>
-  std::function<void(Args...)> with_deadline(SimDuration timeout,
-                                             std::function<void(Args...)> cb,
-                                             std::tuple<std::decay_t<Args>...> on_timeout) {
-    if (timeout <= 0 || !cb) return cb;
-    struct Guard {
-      bool done = false;
-      sim::TimerId timer = 0;
-    };
-    auto guard = std::make_shared<Guard>();
-    guard->timer = sim_.after(timeout, [this, guard, cb, args = std::move(on_timeout)] {
-      if (guard->done) return;
-      guard->done = true;
-      metrics_.timeouts.inc();
-      std::apply(cb, args);
-    });
-    return [this, guard, cb = std::move(cb)](Args... args) {
-      if (guard->done) return;
-      guard->done = true;
-      sim_.cancel(guard->timer);
-      cb(std::forward<Args>(args)...);
-    };
-  }
 
   /// Books `bytes` of disk service on the depot, returning the delay from
   /// now until that service completes (FIFO behind earlier bookings).

@@ -676,8 +676,8 @@ void repair_probe(const std::shared_ptr<RepairState>& st) {
                                 });
       } else {
         st->fabric->load_async(st->client, rep.read, rep.alloc_offset, 1,
-                               st->options.net,
-                               [st, i, j](ibp::IbpStatus status, Bytes) {
+                               st->options.net, std::make_shared<Bytes>(1), 0,
+                               [st, i, j](ibp::IbpStatus status, std::size_t) {
                                  repair_probe_done(st, i, j, status == ibp::IbpStatus::kOk);
                                });
       }

@@ -1,6 +1,5 @@
 #include "streaming/client.hpp"
 
-#include <chrono>
 #include <string>
 
 #include "compress/lfz.hpp"
@@ -139,23 +138,14 @@ SimDuration Client::charge_decompress(
     const Bytes& compressed, const lightfield::ViewSetId& id,
     std::shared_ptr<const lightfield::ViewSet>& out) const {
   const auto& cfg = renderer_.lattice().config();
-  if (!config_.decode) {
-    // Install the blank set of the right shape, which every non-decoding
-    // client shares; charge the modeled cost for the bytes that *would* be
-    // produced.
-    out = lightfield::ViewSet::blank(cfg.view_set_span, cfg.view_resolution);
-    return static_cast<SimDuration>(static_cast<double>(out->pixel_bytes()) /
-                                    config_.decompress_bytes_per_sec * 1e9);
-  }
-  if (config_.timing == ClientConfig::Timing::kMeasured) {
-    const auto start = std::chrono::steady_clock::now();
+  if (config_.decode) {
     out = std::make_shared<const lightfield::ViewSet>(
         decode_requested(compressed, id, cfg.view_set_span));
-    const auto stop = std::chrono::steady_clock::now();
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(stop - start).count();
+  } else {
+    // Install the blank set of the right shape, which every non-decoding
+    // client shares; the charge is for the bytes a decode *would* produce.
+    out = lightfield::ViewSet::blank(cfg.view_set_span, cfg.view_resolution);
   }
-  out = std::make_shared<const lightfield::ViewSet>(
-      decode_requested(compressed, id, cfg.view_set_span));
   return static_cast<SimDuration>(static_cast<double>(out->pixel_bytes()) /
                                   config_.decompress_bytes_per_sec * 1e9);
 }

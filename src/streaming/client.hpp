@@ -27,7 +27,10 @@ namespace lon::streaming {
 struct ClientConfig {
   std::size_t display_resolution = 200;  ///< client frame size
   int keep_view_sets = 1;                ///< decompressed sets held locally
-  enum class Timing { kModeled, kMeasured };
+  /// Decode is always charged at the modeled rate below, never at host wall
+  /// time, so the virtual clock is the same on every host. The one-value
+  /// enum stays only because benchmark/lonbench.cpp sets it.
+  enum class Timing { kModeled };
   Timing timing = Timing::kModeled;
   /// Modeled decompression throughput, in *uncompressed output* bytes/s.
   /// 30 MB/s lands the 200^2..500^2 view sets in the paper's 0.15-1.8 s band.
@@ -103,7 +106,8 @@ class Client {
   void install_view_set(const lightfield::ViewSetId& id,
                         std::shared_ptr<const lightfield::ViewSet> vs);
 
-  /// Decodes `compressed` into `out` and returns the virtual time to charge.
+  /// Decodes `compressed` into `out` and returns the virtual time to charge:
+  /// the set's pixel bytes at decompress_bytes_per_sec.
   /// Without decode, `out` is the process-wide blank set of the lattice's
   /// shape. Throws DecodeError on a corrupt payload, and on a view set whose
   /// id is not `id` or whose span is not the lattice's.

@@ -1,8 +1,9 @@
 // Fault-injection and self-healing tests: cancellable timers, link
 // partitions, fabric deadlines and offline semantics, LoRS checksums /
-// retry / repair, L-Bone health probes, and a deterministic chaos soak in
-// which view sets are browsed while depots crash, leases expire and reads
-// rot — every demand request must still complete checksum-clean.
+// retry / repair, the L-Bone's offline cross-check, and a deterministic
+// chaos soak in which view sets are browsed while depots crash, leases
+// expire and reads rot — every demand request must still complete
+// checksum-clean.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -187,7 +188,8 @@ TEST_F(FabricFaultTest, SetOfflineCancelsInFlightFlows) {
   // flow must fail, not complete as if nothing happened.
   std::optional<ibp::IbpStatus> status;
   fabric_.load_async(client_, caps.read, 0, data.size(), {},
-                     [&](ibp::IbpStatus s, Bytes) { status = s; });
+                     std::make_shared<Bytes>(data.size()), 0,
+                     [&](ibp::IbpStatus s, std::size_t) { status = s; });
   sim_.after(30 * kMillisecond, [&] { fabric_.set_offline("d0", true); });
   sim_.run();
 
@@ -212,7 +214,7 @@ TEST_F(FabricFaultTest, DroppedRequestsOnlySurfaceAtTheDeadline) {
   EXPECT_EQ(total(obs_, "ibp.requests_dropped"), 1u);
 }
 
-// --- L-Bone: offline cross-check + health probes ------------------------------
+// --- L-Bone: offline cross-check ----------------------------------------------
 
 class LboneFaultTest : public ::testing::Test {
  protected:
@@ -238,32 +240,11 @@ class LboneFaultTest : public ::testing::Test {
 };
 
 TEST_F(LboneFaultTest, FindCrossChecksFabricOfflineState) {
-  // The directory still believes d0 is alive; the fabric knows better.
+  // The fabric's offline flag is the directory's one source of liveness.
   fabric_.set_offline("d0", true);
   const auto found = directory_.find(client_, {.count = 2});
   ASSERT_EQ(found.size(), 1u);
   EXPECT_EQ(found[0].name, "d1");
-}
-
-TEST_F(LboneFaultTest, HealthProbesTrackCrashAndRestart) {
-  directory_.start_health_probes(kSecond);
-
-  fabric_.set_offline("d0", true);
-  // Manually mark it alive-in-directory to prove the sweep flips it back.
-  sim_.run_until(1500 * kMillisecond);
-  EXPECT_EQ(total(obs_, "lbone.sweeps"), 1u);
-  EXPECT_EQ(total(obs_, "lbone.marked_dead"), 1u);
-
-  fabric_.set_offline("d0", false);
-  sim_.run_until(2500 * kMillisecond);
-  EXPECT_EQ(total(obs_, "lbone.marked_alive"), 1u);
-  const auto found = directory_.find(client_, {.count = 2});
-  EXPECT_EQ(found.size(), 2u);
-
-  directory_.stop_health_probes();
-  const auto sweeps = total(obs_, "lbone.sweeps");
-  sim_.run_until(10 * kSecond);
-  EXPECT_EQ(total(obs_, "lbone.sweeps"), sweeps);  // daemon actually stopped
 }
 
 // --- LoRS: checksums, retry, repair -------------------------------------------
@@ -458,6 +439,42 @@ TEST_F(LorsFaultTest, RepairKeepsPointersWhenEveryReplicaGoesDark) {
   EXPECT_EQ(healed->extents_dark, 0u);
   EXPECT_EQ(healed->replicas_lost, 0u);
   const auto dl = download(healed->exnode);
+  EXPECT_EQ(dl.status, lors::LorsStatus::kOk);
+  EXPECT_EQ(*dl.data, data);
+}
+
+TEST_F(LorsFaultTest, RepairReadProbesReplicasWithoutAManageCapability) {
+  // A reader's exNode: one block on d0 and d1, read capabilities only, so
+  // repair can only tell the replicas apart by a 1-byte read of each.
+  const Bytes data = pattern(4'096);
+  const exnode::ExNode uploaded = upload(data, 2);
+  ASSERT_EQ(uploaded.extents().size(), 1u);
+  exnode::Extent extent = uploaded.extents()[0];
+  ASSERT_EQ(extent.replicas.size(), 2u);
+  for (auto& replica : extent.replicas) replica.manage.reset();
+  exnode::ExNode read_only(uploaded.length());
+  read_only.add_extent(extent);
+  fabric_.set_offline(extent.replicas[0].read.depot, true);
+
+  lors::RepairOptions options;
+  options.target_replicas = 1;
+  options.candidate_depots = depots_;
+  std::optional<lors::RepairResult> result;
+  lors_.repair_async(client_, read_only, options,
+                     [&](const lors::RepairResult& r) { result = r; });
+  sim_.run();
+
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(result->status, lors::LorsStatus::kOk);
+  EXPECT_EQ(result->replicas_probed, 2u);
+  EXPECT_EQ(result->replicas_lost, 1u);
+  EXPECT_EQ(result->replicas_added, 0u);
+  EXPECT_EQ(result->extents_dark, 0u);
+  ASSERT_EQ(result->exnode.extents().size(), 1u);
+  const auto& kept = result->exnode.extents()[0].replicas;
+  ASSERT_EQ(kept.size(), 1u);
+  EXPECT_EQ(kept[0], extent.replicas[1]);
+  const auto dl = download(result->exnode);
   EXPECT_EQ(dl.status, lors::LorsStatus::kOk);
   EXPECT_EQ(*dl.data, data);
 }

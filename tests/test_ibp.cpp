@@ -334,13 +334,14 @@ class FabricTest : public ::testing::Test {
   }
 
   Bytes load_remote(const Capability& read_cap, std::uint64_t length) {
-    Bytes loaded;
-    fabric_.load_async(client_, read_cap, 0, length, {}, [&](IbpStatus s, Bytes data) {
-      EXPECT_EQ(s, IbpStatus::kOk);
-      loaded = std::move(data);
-    });
+    auto loaded = std::make_shared<Bytes>(length);
+    fabric_.load_async(client_, read_cap, 0, length, {}, loaded, 0,
+                       [&](IbpStatus s, std::size_t received) {
+                         EXPECT_EQ(s, IbpStatus::kOk);
+                         EXPECT_EQ(received, length);
+                       });
     sim_.run();
-    return loaded;
+    return *loaded;
   }
 
   sim::Simulator sim_;
@@ -383,15 +384,7 @@ TEST_F(FabricTest, StoreThenLoadOverNetwork) {
   sim_.run();
   ASSERT_EQ(stored, IbpStatus::kOk);
 
-  std::optional<Bytes> loaded;
-  fabric_.load_async(client_, caps.read, 0, payload.size(), {},
-                     [&](IbpStatus s, Bytes data) {
-                       ASSERT_EQ(s, IbpStatus::kOk);
-                       loaded = std::move(data);
-                     });
-  sim_.run();
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(*loaded, payload);
+  EXPECT_EQ(load_remote(caps.read, payload.size()), payload);
 }
 
 TEST_F(FabricTest, LoadIntoRefusesALandingOffsetThatWraps) {
@@ -441,10 +434,11 @@ TEST_F(FabricTest, LanLoadIsMuchFasterThanWan) {
     SimTime end = 0;
     sim::TransferOptions opts;
     opts.streams = 4;
-    fabric_.load_async(client_, cap, 0, 1 << 20, opts, [&](IbpStatus s, Bytes) {
-      ASSERT_EQ(s, IbpStatus::kOk);
-      end = sim_.now();
-    });
+    fabric_.load_async(client_, cap, 0, 1 << 20, opts, std::make_shared<Bytes>(1 << 20), 0,
+                       [&](IbpStatus s, std::size_t) {
+                         ASSERT_EQ(s, IbpStatus::kOk);
+                         end = sim_.now();
+                       });
     sim_.run();
     return end - start;
   };
@@ -527,10 +521,11 @@ TEST_F(FabricTest, DiskContentionDelaysConcurrentReads) {
     SimTime end = 0;
     sim::TransferOptions opts;
     opts.window_bytes = 1 << 24;
-    fabric_.load_async(client_, caps.read, 0, 1 << 20, opts, [&](IbpStatus s, Bytes) {
-      ASSERT_EQ(s, IbpStatus::kOk);
-      end = sim_.now();
-    });
+    fabric_.load_async(client_, caps.read, 0, 1 << 20, opts,
+                       std::make_shared<Bytes>(1 << 20), 0, [&](IbpStatus s, std::size_t) {
+                         ASSERT_EQ(s, IbpStatus::kOk);
+                         end = sim_.now();
+                       });
     sim_.run();
     return end - start;
   };

@@ -75,11 +75,11 @@ TEST_F(LboneTest, FiltersOnLeaseSupport) {
 }
 
 TEST_F(LboneTest, DeadDepotsAreSkipped) {
-  directory_.set_alive("near", false);
+  fabric_.set_offline("near", true);
   const auto result = directory_.find(client_, {.free_bytes = 0, .lease = 0, .count = 3});
   ASSERT_EQ(result.size(), 2u);
   EXPECT_EQ(result[0].name, "mid");
-  directory_.set_alive("near", true);
+  fabric_.set_offline("near", false);
   EXPECT_EQ(directory_.find(client_, {.free_bytes = 0, .lease = 0, .count = 3}).size(), 3u);
 }
 
@@ -95,7 +95,6 @@ TEST_F(LboneTest, UnreachableDepotsAreSkipped) {
 
 TEST_F(LboneTest, RegisterUnknownDepotThrows) {
   EXPECT_THROW(directory_.register_depot("ghost"), std::invalid_argument);
-  EXPECT_THROW(directory_.set_alive("ghost", false), std::out_of_range);
 }
 
 TEST_F(LboneTest, DuplicateRegistrationIsIdempotent) {

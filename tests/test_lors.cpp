@@ -1,5 +1,7 @@
 // Unit tests for LoRS: striped/replicated upload, multi-stream download with
-// replica preference and failover, and augment (third-party staging).
+// replica preference and failover, augment (third-party staging), and the
+// fabric's remote manage operations (probe / extend / release) with the LoRS
+// lease refresh built on them.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -275,6 +277,137 @@ TEST_F(LorsTest, AugmentUsesSoftAllocationsByDefault) {
   // (The augment result only exposes read caps; inspect depot stats instead.)
   const ibp::Depot* lan = fabric_.find_depot("lan");
   EXPECT_EQ(lan->allocation_count(), 1u);
+}
+
+
+// --- remote manage operations over the fabric -----------------------------------------
+
+class ManageOpsTest : public ::testing::Test {
+ protected:
+  ManageOpsTest() : net_(sim_), fabric_(sim_, net_), lors_(sim_, net_, fabric_) {
+    client_ = net_.add_node("client");
+    const sim::NodeId node = net_.add_node("depot");
+    net_.add_link(client_, node, {1e9, 5 * kMillisecond, 0.0});
+    ibp::DepotConfig cfg;
+    cfg.capacity_bytes = 1 << 20;
+    cfg.max_lease = 3600 * kSecond;
+    fabric_.add_depot(node, "d1", cfg);
+  }
+
+  ibp::CapabilitySet allocate(std::uint64_t size, SimDuration lease) {
+    std::optional<ibp::CapabilitySet> caps;
+    fabric_.allocate_async(client_, "d1", {size, lease, ibp::AllocType::kHard},
+                           [&](ibp::IbpStatus s, const ibp::CapabilitySet& c) {
+                             ASSERT_EQ(s, ibp::IbpStatus::kOk);
+                             caps = c;
+                           });
+    sim_.run();
+    return *caps;
+  }
+
+  sim::Simulator sim_;
+  sim::Network net_;
+  ibp::Fabric fabric_;
+  Lors lors_;
+  sim::NodeId client_ = 0;
+};
+
+TEST_F(ManageOpsTest, RemoteProbeReportsState) {
+  const auto caps = allocate(512, 100 * kSecond);
+  std::optional<ibp::AllocInfo> info;
+  fabric_.probe_async(client_, caps.manage, [&](ibp::IbpStatus s, const ibp::AllocInfo& i) {
+    ASSERT_EQ(s, ibp::IbpStatus::kOk);
+    info = i;
+  });
+  sim_.run();
+  ASSERT_TRUE(info.has_value());
+  EXPECT_EQ(info->size, 512u);
+}
+
+TEST_F(ManageOpsTest, RemoteExtendKeepsAllocationAlive) {
+  const auto caps = allocate(512, 10 * kSecond);
+  sim_.run_until(8 * kSecond);
+  std::optional<ibp::IbpStatus> status;
+  fabric_.extend_async(client_, caps.manage, 100 * kSecond,
+                       [&](ibp::IbpStatus s) { status = s; });
+  sim_.run();
+  ASSERT_EQ(status, ibp::IbpStatus::kOk);
+  sim_.run_until(50 * kSecond);
+  Bytes out;
+  EXPECT_EQ(fabric_.find_depot("d1")->load(caps.read, 0, 1, out), ibp::IbpStatus::kOk);
+}
+
+TEST_F(ManageOpsTest, RemoteReleaseFrees) {
+  const auto caps = allocate(512, 100 * kSecond);
+  std::optional<ibp::IbpStatus> status;
+  fabric_.release_async(client_, caps.manage, [&](ibp::IbpStatus s) { status = s; });
+  sim_.run();
+  EXPECT_EQ(status, ibp::IbpStatus::kOk);
+  EXPECT_EQ(fabric_.find_depot("d1")->allocation_count(), 0u);
+}
+
+TEST_F(ManageOpsTest, WrongKindCapabilityIsRejectedRemotely) {
+  const auto caps = allocate(512, 100 * kSecond);
+  std::optional<ibp::IbpStatus> status;
+  fabric_.release_async(client_, caps.read, [&](ibp::IbpStatus s) { status = s; });
+  sim_.run();
+  EXPECT_EQ(status, ibp::IbpStatus::kBadCapability);
+}
+
+TEST_F(ManageOpsTest, LorsRefreshExtendsEveryReplica) {
+  // Upload with a short lease, refresh through LoRS, verify survival.
+  Bytes data(10'000);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<std::uint8_t>(i);
+  }
+  UploadOptions up;
+  up.depots = {"d1"};
+  up.block_bytes = 4'000;
+  up.lease = 20 * kSecond;
+  std::optional<exnode::ExNode> node;
+  lors_.upload_async(client_, data, up, [&](const UploadResult& r) {
+    ASSERT_EQ(r.status, LorsStatus::kOk);
+    node = r.exnode;
+  });
+  sim_.run();
+  ASSERT_TRUE(node.has_value());
+
+  sim_.run_until(15 * kSecond);
+  std::optional<Lors::RefreshResult> refresh;
+  lors_.refresh_async(client_, *node, 300 * kSecond,
+                      [&](const Lors::RefreshResult& r) { refresh = r; });
+  sim_.run();
+  ASSERT_TRUE(refresh.has_value());
+  EXPECT_EQ(refresh->status, LorsStatus::kOk);
+  EXPECT_EQ(refresh->extended, 3u);  // three blocks, one replica each
+
+  // Well past the original lease: the data still downloads.
+  sim_.run_until(120 * kSecond);
+  std::optional<DownloadResult> down;
+  lors_.download_async(client_, *node, {}, [&](DownloadResult r) { down = std::move(r); });
+  sim_.run();
+  ASSERT_TRUE(down.has_value());
+  EXPECT_EQ(down->status, LorsStatus::kOk);
+  EXPECT_EQ(*down->data, data);
+}
+
+TEST_F(ManageOpsTest, RefreshWithoutManageCapsReportsPartial) {
+  exnode::ExNode node(10);
+  exnode::Extent extent;
+  extent.offset = 0;
+  extent.length = 10;
+  exnode::Replica rep;
+  rep.read = {"d1", 42, 0xfeedface, ibp::CapKind::kRead};  // no manage capability
+  extent.replicas.push_back(rep);
+  node.add_extent(extent);
+
+  std::optional<Lors::RefreshResult> refresh;
+  lors_.refresh_async(client_, node, kSecond,
+                      [&](const Lors::RefreshResult& r) { refresh = r; });
+  sim_.run();
+  ASSERT_TRUE(refresh.has_value());
+  EXPECT_EQ(refresh->status, LorsStatus::kPartial);
+  EXPECT_EQ(refresh->failed, 1u);
 }
 
 }  // namespace
