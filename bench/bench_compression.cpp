@@ -1,14 +1,14 @@
 // Micro bench: codec throughput, ratio and bytes-on-the-wire per wire format.
 //
 // One deterministic procedural view set is pushed through every container the
-// system can publish — stored, LFZ1, chunked LFZC, inter-view-predicted LFZ2
-// — measuring compressed size (exactly reproducible; the perf gate hard-fails
-// on any byte change), ratio against raw pixels, and wall-clock MB/s both
-// directions. A separate pair of timings decodes the same Huffman symbol
-// stream with the table-driven decoder and the bit-at-a-time reference; their
-// ratio is machine-relative, so the gate can enforce the table speedup even
-// on a 1-core runner. The same holds for the slicing-by-16 CRC-32 that LoRS
-// runs on every block, timed against its byte-at-a-time reference.
+// system can publish — stored and LFZ1 — measuring compressed size (exactly
+// reproducible; the perf gate hard-fails on any byte change), ratio against
+// raw pixels, and wall-clock MB/s both directions. A separate pair of timings
+// decodes the same Huffman symbol stream with the table-driven decoder and the
+// bit-at-a-time reference; their ratio is machine-relative, so the gate can
+// enforce the table speedup even on a 1-core runner. The same holds for the
+// slicing-by-16 CRC-32 that LoRS runs on every block, timed against its
+// byte-at-a-time reference.
 //
 // Flags:
 //   --smoke   smaller view set / fewer symbols for the CI perf gate
@@ -82,18 +82,13 @@ Row measure(const char* mode, const Bytes& payload, std::uint64_t pixel_bytes, i
   return row;
 }
 
-constexpr std::uint64_t kChunkBytes = 256 * 1024;
-
 Bytes compress_stored(const Bytes& d) {
   lfz::CompressOptions opt;
   opt.store_only = true;
   return lfz::compress(d, opt);
 }
 Bytes compress_lfz1(const Bytes& d) { return lfz::compress(d); }
-Bytes compress_lfzc(const Bytes& d) { return lfz::compress_chunked(d, kChunkBytes); }
-Bytes compress_lfz2(const Bytes& d) { return lfz::compress_lfz2(d, kChunkBytes); }
 Bytes decompress_plain(const Bytes& d) { return lfz::decompress(d); }
-Bytes decompress_chunked(const Bytes& d) { return lfz::decompress_chunked(d); }
 
 struct DecodeResult {
   std::size_t symbols = 0;
@@ -318,7 +313,6 @@ int main(int argc, char** argv) {
   const std::uint64_t pixel_bytes = vs.pixel_bytes();
 
   const Bytes intra = vs.serialize(lightfield::SerializeMode::kIntra);
-  const Bytes adaptive = vs.serialize(lightfield::SerializeMode::kAdaptive);
 
   const int reps = smoke ? 3 : 5;
   std::vector<Row> rows;
@@ -326,10 +320,6 @@ int main(int argc, char** argv) {
                          decompress_plain));
   rows.push_back(measure("lfz1", intra, pixel_bytes, reps, compress_lfz1,
                          decompress_plain));
-  rows.push_back(measure("lfzc", intra, pixel_bytes, reps, compress_lfzc,
-                         decompress_chunked));
-  rows.push_back(measure("lfz2", adaptive, pixel_bytes, reps, compress_lfz2,
-                         decompress_chunked));
 
   const DecodeResult decode = measure_decode(smoke ? std::size_t{1} << 19
                                                    : std::size_t{1} << 21,

@@ -18,14 +18,13 @@ to BENCH_pr.json, and compares them against the committed BENCH_baseline.json:
       must show >= --min-speedup over BM_NovelViewSynthesis (hard failure).
 
   bench_compression --smoke --json
-      Codec bytes-on-the-wire and ratios per wire format (stored, lfz1,
-      lfzc, lfz2). The compressed sizes are deterministic, so any byte or
-      ratio change against the baseline is a HARD failure. Wall-clock MB/s
-      warns like fps. Three same-run machine-relative checks are always hard:
-      the table-driven Huffman decode must be >= --min-decode-speedup over
-      the bit-at-a-time reference, the slicing-by-16 CRC-32 must be
-      >= MIN_CRC32_SPEEDUP over its byte-at-a-time reference, and the lfz2
-      container must be strictly smaller than lfzc on the same view set.
+      Codec bytes-on-the-wire and ratios per wire format (stored, lfz1).
+      The compressed sizes are deterministic, so any byte or ratio change
+      against the baseline is a HARD failure. Wall-clock MB/s warns like
+      fps. Two same-run machine-relative checks are always hard: the
+      table-driven Huffman decode must be >= --min-decode-speedup over the
+      bit-at-a-time reference, and the slicing-by-16 CRC-32 must be
+      >= MIN_CRC32_SPEEDUP over its byte-at-a-time reference.
 
   bench_prefetch --smoke --json
       Client-agent policy engine on scripted cursor walks (virtual time, so
@@ -67,6 +66,11 @@ smoke budget:
       tolerance on parse/print round-trips. Host wall time only WARNS
       against --wall-budget (runner-dependent), but a run that cannot
       finish at all still fails the job via the CI timeout.
+
+Rows: each check walks the rows the run printed and compares each against
+its baseline row. A baseline row that the run did not print is a hard
+failure in every section, so a bench that stops printing a row cannot pass
+by omission.
 
 Counters: the three virtual-time benches (scalability_users, prefetch,
 scenarios) print every registry counter of a run in each row's "counters"
@@ -134,6 +138,17 @@ def counter_reader(section, rows):
     return counter
 
 
+def require_baseline_rows(section, base_keys, pr_keys):
+    """Hard-fails on every baseline row that this run did not print."""
+    base_keys, pr_keys = set(base_keys), set(pr_keys)
+    missing = sorted(base_keys - pr_keys, key=str)
+    for key in missing:
+        fail(f"{section}: baseline row {key} missing from this run")
+    if not missing:
+        print(f"ok:   {section}: all {len(base_keys)} baseline rows present "
+              f"({len(pr_keys)} in this run)")
+
+
 def run_json(cmd):
     print(f"+ {' '.join(cmd)}", flush=True)
     out = subprocess.run(cmd, check=True, capture_output=True, text=True).stdout
@@ -180,6 +195,8 @@ def collect_scenarios(build_dir):
 
 def check_scalability(pr, base, tolerance):
     base_rows = {row["users"]: row for row in base.get("results", [])}
+    require_baseline_rows("scalability_users", base_rows,
+                          (row["users"] for row in pr.get("results", [])))
     for row in pr.get("results", []):
         users = row["users"]
         tag = f"scalability_users[{users} users]"
@@ -208,6 +225,8 @@ def check_scalability_full(pr, base, tolerance, wall_budget):
     get the regular relative tolerance instead of exact equality.
     """
     base_rows = {row["users"]: row for row in base.get("results", [])}
+    require_baseline_rows("scale_full", base_rows,
+                          (row["users"] for row in pr.get("results", [])))
     counter = counter_reader("scale_full", pr.get("results", []))
     wall_total = 0.0
     for row in pr.get("results", []):
@@ -300,6 +319,7 @@ def check_compression(pr, base, tolerance, strict, min_decode_speedup):
     report = fail if strict else warn
     base_rows = {row["mode"]: row for row in base.get("results", [])}
     pr_rows = {row["mode"]: row for row in pr.get("results", [])}
+    require_baseline_rows("compression", base_rows, pr_rows)
     for mode, row in sorted(pr_rows.items()):
         tag = f"compression[{mode}]"
         if mode not in base_rows:
@@ -325,17 +345,6 @@ def check_compression(pr, base, tolerance, strict, min_decode_speedup):
         if got is not None and want is not None and got != want:
             fail(f"{tag}: decode_copied_bytes {got} != baseline {want} "
                  f"(copy meter is deterministic; an extra pass crept in)")
-
-    # Same-run, machine-relative: the whole point of the wire format.
-    if "lfzc" in pr_rows and "lfz2" in pr_rows:
-        lfzc, lfz2 = pr_rows["lfzc"]["bytes"], pr_rows["lfz2"]["bytes"]
-        if lfz2 >= lfzc:
-            fail(f"compression: lfz2 ({lfz2} bytes) not smaller than lfzc ({lfzc})")
-        else:
-            print(f"ok:   compression: lfz2 {lfz2} < lfzc {lfzc} "
-                  f"({1.0 - lfz2 / lfzc:.1%} fewer bytes)")
-    else:
-        fail("compression: lfzc/lfz2 row pair not found")
 
     decode = pr.get("decode", {})
     speedup = decode.get("speedup", 0.0)
@@ -401,6 +410,7 @@ def check_prefetch(pr, base, tolerance):
     """Deterministic policy metrics vs baseline + same-run policy ordering."""
     base_rows = {row["name"]: row for row in base.get("results", [])}
     pr_rows = {row["name"]: row for row in pr.get("results", [])}
+    require_baseline_rows("prefetch", base_rows, pr_rows)
     counter = counter_reader("prefetch", pr.get("results", []))
     for name, row in sorted(pr_rows.items()):
         tag = f"prefetch[{name}]"
@@ -461,6 +471,7 @@ def check_scenarios(pr, base, tolerance):
     """Deterministic SLO harness: per-row baselines + same-run invariants."""
     base_rows = {row["name"]: row for row in base.get("results", [])}
     pr_rows = {row["name"]: row for row in pr.get("results", [])}
+    require_baseline_rows("scenarios", base_rows, pr_rows)
     counter = counter_reader("scenarios", pr.get("results", []))
     # Rows with a fault plan are *supposed* to fight for their bytes; every
     # other row must deliver everything.

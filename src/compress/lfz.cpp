@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
-#include <stdexcept>
 #include <vector>
 
 #include "compress/bitio.hpp"
@@ -183,14 +182,31 @@ void copy_match(std::uint8_t* dst, std::uint32_t distance, std::uint32_t length)
   }
 }
 
-/// Shared decode core: `in` is positioned just past the header, `out` is
-/// exactly h.original_size bytes.
-void decompress_body(ByteReader& in, std::span<const std::uint8_t> compressed,
-                     const Header& h, std::span<std::uint8_t> out) {
+}  // namespace
+
+Bytes decompress(std::span<const std::uint8_t> compressed) {
+  ByteReader in(compressed);
+  const Header h = read_header(in);
+  // A corrupt header can claim any original size; bound it (stored blocks by
+  // the remaining input, lz77+huffman by the maximum token expansion — a
+  // 2-bit match token emits <= 258 bytes, so ~1032x) before allocating, so
+  // length overflows throw instead of attempting absurd allocations.
   if (h.method == 0) {
+    if (h.original_size > in.remaining()) throw DecodeError("lfz: truncated stored block");
+  } else if (h.original_size > (static_cast<std::uint64_t>(in.remaining()) + 16) * 1032) {
+    throw DecodeError("lfz: implausible original size");
+  }
+  Bytes result(h.original_size);
+  // The decode loop writes through a local span: a byte store through it
+  // cannot alias the span itself, while one through `result` could alias the
+  // vector's own pointers and force a reload per byte.
+  const std::span<std::uint8_t> out(result);
+  if (h.method == 0) {
+    // Stored bodies pay one pass through the payload-copy meter.
     const auto raw = in.raw(h.original_size);
     util::copy_payload(out.data(), raw.data(), raw.size());
   } else {
+    // LZ output is written once, straight into `out`.
     const auto lit_lengths = read_lengths_packed(in, kLitAlphabet);
     const auto dist_lengths = read_lengths_packed(in, kDistAlphabet);
     const HuffmanDecoder lit_dec(lit_lengths);
@@ -225,172 +241,17 @@ void decompress_body(ByteReader& in, std::span<const std::uint8_t> compressed,
   }
 
   if (adler32(out) != h.checksum) throw DecodeError("lfz: checksum mismatch");
-}
-
-}  // namespace
-
-Bytes decompress(std::span<const std::uint8_t> compressed) {
-  ByteReader in(compressed);
-  const Header h = read_header(in);
-  // A corrupt header can claim any original size; bound it (stored blocks by
-  // the remaining input, lz77+huffman by the maximum token expansion — a
-  // 2-bit match token emits <= 258 bytes, so ~1032x) before allocating, so
-  // length overflows throw instead of attempting absurd allocations.
-  if (h.method == 0) {
-    if (h.original_size > in.remaining()) throw DecodeError("lfz: truncated stored block");
-  } else if (h.original_size > (static_cast<std::uint64_t>(in.remaining()) + 16) * 1032) {
-    throw DecodeError("lfz: implausible original size");
-  }
-  Bytes out(h.original_size);
-  decompress_body(in, compressed, h, out);
-  return out;
-}
-
-void decompress_into(std::span<const std::uint8_t> compressed, std::span<std::uint8_t> out) {
-  ByteReader in(compressed);
-  const Header h = read_header(in);
-  if (out.size() != h.original_size) throw DecodeError("lfz: destination size mismatch");
-  decompress_body(in, compressed, h, out);
-}
-
-std::uint64_t decompressed_size(std::span<const std::uint8_t> compressed) {
-  ByteReader in(compressed);
-  return read_header(in).original_size;
-}
-
-// --- chunked containers --------------------------------------------------------
-
-namespace {
-
-constexpr std::uint8_t kChunkedMagic[4] = {'L', 'F', 'Z', 'C'};
-constexpr std::uint8_t kLfz2Magic[4] = {'L', 'F', 'Z', '2'};
-
-bool has_magic(std::span<const std::uint8_t> data, const std::uint8_t (&magic)[4]) {
-  return data.size() >= 4 && std::equal(data.begin(), data.begin() + 4, magic);
-}
-
-Bytes compress_chunked_as(std::span<const std::uint8_t> data, std::uint64_t chunk_bytes,
-                          const CompressOptions& options, ThreadPool* pool,
-                          const std::uint8_t (&magic)[4]) {
-  if (chunk_bytes == 0) throw std::invalid_argument("compress_chunked: zero chunk size");
-  const std::size_t chunks =
-      data.empty() ? 0
-                   : static_cast<std::size_t>((data.size() + chunk_bytes - 1) / chunk_bytes);
-  std::vector<Bytes> compressed(chunks);
-  auto one = [&](std::size_t c) {
-    const std::uint64_t offset = c * chunk_bytes;
-    const std::uint64_t length =
-        std::min<std::uint64_t>(chunk_bytes, data.size() - offset);
-    compressed[c] = compress(data.subspan(offset, length), options);
-  };
-  if (pool != nullptr && chunks > 1) {
-    pool->parallel_for(0, chunks, one);
-  } else {
-    for (std::size_t c = 0; c < chunks; ++c) one(c);
-  }
-
-  ByteWriter out;
-  out.raw(std::span(magic));
-  out.u64(data.size());
-  out.u32(static_cast<std::uint32_t>(chunks));
-  for (const auto& chunk : compressed) out.blob(chunk);
-  return out.take();
-}
-
-}  // namespace
-
-bool is_chunked(std::span<const std::uint8_t> compressed) {
-  return has_magic(compressed, kChunkedMagic) || has_magic(compressed, kLfz2Magic);
-}
-
-bool is_lfz2(std::span<const std::uint8_t> compressed) {
-  return has_magic(compressed, kLfz2Magic);
+  return result;
 }
 
 const char* wire_label(std::span<const std::uint8_t> compressed) {
-  if (has_magic(compressed, kLfz2Magic)) return "lfz2";
-  if (has_magic(compressed, kChunkedMagic)) return "lfzc";
-  if (has_magic(compressed, kMagic)) {
-    // Offset 16 is the method byte (after magic, u64 size, u32 checksum).
-    if (compressed.size() > 16 && compressed[16] == 0) return "stored";
-    return "lfz1";
+  if (compressed.size() < 4 ||
+      !std::equal(compressed.begin(), compressed.begin() + 4, kMagic)) {
+    return "unknown";
   }
-  return "unknown";
-}
-
-Bytes compress_chunked(std::span<const std::uint8_t> data, std::uint64_t chunk_bytes,
-                       const CompressOptions& options, ThreadPool* pool) {
-  return compress_chunked_as(data, chunk_bytes, options, pool, kChunkedMagic);
-}
-
-Bytes compress_lfz2(std::span<const std::uint8_t> data, std::uint64_t chunk_bytes,
-                    const CompressOptions& options, ThreadPool* pool) {
-  return compress_chunked_as(data, chunk_bytes, options, pool, kLfz2Magic);
-}
-
-Bytes decompress_chunked(std::span<const std::uint8_t> compressed, ThreadPool* pool) {
-  ByteReader in(compressed);
-  const auto magic = in.raw(4);
-  if (!std::equal(magic.begin(), magic.end(), kChunkedMagic) &&
-      !std::equal(magic.begin(), magic.end(), kLfz2Magic)) {
-    throw DecodeError("lfz: bad chunked magic");
-  }
-  const std::uint64_t original = in.u64();
-  const std::uint32_t chunks = in.u32();
-  // Every chunk carries at least a length prefix, so the count is bounded by
-  // the remaining bytes — reject overflowed directories before reserving.
-  if (chunks > in.remaining()) throw DecodeError("lfz: implausible chunk count");
-
-  // Walk the directory once: chunk bodies stay spans over the input (no
-  // staging copies), and each chunk's LFZ1 header gives its decoded size, so
-  // output offsets are a prefix sum computable before any decode runs.
-  struct ChunkRef {
-    std::span<const std::uint8_t> body;
-    std::uint64_t offset = 0;
-    std::uint64_t size = 0;
-  };
-  std::vector<ChunkRef> refs;
-  refs.reserve(chunks);
-  std::uint64_t total = 0;
-  for (std::uint32_t c = 0; c < chunks; ++c) {
-    const std::uint32_t length = in.u32();
-    const auto body = in.raw(length);
-    const std::uint64_t size = decompressed_size(body);
-    // Re-apply decompress()'s expansion bound here: the prefix sum drives the
-    // output allocation, so a forged chunk header must throw before it can
-    // inflate `total` past anything the body could actually produce.
-    if (size > (static_cast<std::uint64_t>(body.size()) + 16) * 1032) {
-      throw DecodeError("lfz: implausible original size");
-    }
-    if (size > original - total) throw DecodeError("lfz: chunked size mismatch");
-    refs.push_back({body, total, size});
-    total += size;
-  }
-  if (!in.done()) throw DecodeError("lfz: trailing bytes in chunked container");
-  if (total != original) throw DecodeError("lfz: chunked size mismatch");
-
-  // Decode each chunk in place into its output slice — disjoint regions, so
-  // the parallel path is race-free. Exceptions from workers must surface on
-  // the caller's thread.
-  Bytes out(total);
-  std::vector<std::exception_ptr> errors(chunks);
-  auto one = [&](std::size_t c) {
-    try {
-      decompress_into(refs[c].body,
-                      std::span(out).subspan(refs[c].offset, refs[c].size));
-    } catch (...) {
-      errors[c] = std::current_exception();
-    }
-  };
-  if (pool != nullptr && chunks > 1) {
-    pool->parallel_for(0, chunks, one);
-  } else {
-    for (std::size_t c = 0; c < chunks; ++c) one(c);
-  }
-  for (const auto& error : errors) {
-    if (error) std::rethrow_exception(error);
-  }
-  return out;
+  // Offset 16 is the method byte (after magic, u64 size, u32 checksum).
+  if (compressed.size() > 16 && compressed[16] == 0) return "stored";
+  return "lfz1";
 }
 
 }  // namespace lon::lfz

@@ -62,12 +62,10 @@ Depot::AllocResult Depot::allocate(const AllocRequest& request) {
   // outright, before any soft allocation is disturbed.
   if (request.size == 0 || request.size > config_.max_alloc_bytes ||
       request.lease <= 0 || request.lease > config_.max_lease) {
-    ++stats_.allocations_refused;
     result.status = IbpStatus::kRefused;
     return result;
   }
   if (!make_room(request.size)) {
-    ++stats_.allocations_refused;
     result.status = IbpStatus::kNoCapacity;
     return result;
   }
@@ -81,7 +79,6 @@ Depot::AllocResult Depot::allocate(const AllocRequest& request) {
   alloc.last_access = sim_.now();
 
   used_ += request.size;
-  ++stats_.allocations_made;
 
   auto make_cap = [&](CapKind kind) {
     Capability cap;
@@ -111,7 +108,6 @@ IbpStatus Depot::find(const Capability& cap, CapKind required, Allocation** out)
   if (sim_.now() >= alloc.expires) {
     // Lazy lease reclamation.
     reclaim(alloc.id, IbpStatus::kExpired);
-    ++stats_.leases_expired;
     return IbpStatus::kExpired;
   }
   if (alloc.keys[static_cast<int>(required)] != cap.key) return IbpStatus::kBadCapability;
@@ -146,7 +142,6 @@ IbpStatus Depot::store(const Capability& write_cap, std::uint64_t offset,
     alloc->data = std::move(next);
   }
   alloc->high_water = std::max<std::uint64_t>(alloc->high_water, offset + data.length);
-  stats_.bytes_stored += data.length;
   return IbpStatus::kOk;
 }
 
@@ -166,7 +161,6 @@ IbpStatus Depot::load(const Capability& read_cap, std::uint64_t offset, std::uin
   }
   if (offset > alloc->size || length > alloc->size - offset) return IbpStatus::kBadRange;
   out = Snapshot{alloc->data, offset, length};
-  stats_.bytes_loaded += length;
   return IbpStatus::kOk;
 }
 
@@ -217,7 +211,6 @@ std::size_t Depot::sweep_expired() {
   }
   for (const std::uint64_t id : dead) {
     reclaim(id, IbpStatus::kExpired);
-    ++stats_.leases_expired;
   }
   return dead.size();
 }
@@ -244,7 +237,6 @@ bool Depot::make_room(std::uint64_t needed) {
   for (const Allocation* victim : soft) {
     if (bytes_free() >= needed) break;
     reclaim(victim->id, IbpStatus::kRevoked);
-    ++stats_.soft_revoked;
   }
   return bytes_free() >= needed;
 }

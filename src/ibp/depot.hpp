@@ -102,15 +102,6 @@ struct Snapshot {
   [[nodiscard]] Bytes to_bytes() const;
 };
 
-struct DepotStats {
-  std::uint64_t allocations_made = 0;
-  std::uint64_t allocations_refused = 0;
-  std::uint64_t leases_expired = 0;
-  std::uint64_t soft_revoked = 0;
-  std::uint64_t bytes_stored = 0;
-  std::uint64_t bytes_loaded = 0;
-};
-
 class Depot {
  public:
   Depot(sim::Simulator& sim, std::string name, const DepotConfig& config);
@@ -164,7 +155,6 @@ class Depot {
   [[nodiscard]] std::uint64_t bytes_free() const;
   [[nodiscard]] std::uint64_t bytes_used() const { return used_; }
   [[nodiscard]] std::size_t allocation_count() const { return allocations_.size(); }
-  [[nodiscard]] const DepotStats& stats() const { return stats_; }
 
  private:
   struct Allocation {
@@ -200,7 +190,6 @@ class Depot {
   std::map<std::uint64_t, IbpStatus> tombstones_;
   std::uint64_t next_id_ = 1;
   std::uint64_t used_ = 0;
-  DepotStats stats_;
 };
 
 }  // namespace lon::ibp

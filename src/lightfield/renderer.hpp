@@ -17,6 +17,7 @@
 
 #include "lightfield/lattice.hpp"
 #include "lightfield/viewset.hpp"
+#include "util/thread_pool.hpp"
 
 namespace lon::lightfield {
 

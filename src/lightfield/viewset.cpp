@@ -1,6 +1,5 @@
 #include "lightfield/viewset.hpp"
 
-#include <cmath>
 #include <map>
 #include <mutex>
 #include <stdexcept>
@@ -14,45 +13,6 @@ namespace lon::lightfield {
 namespace {
 
 constexpr std::uint32_t kViewSetMagic = 0x4c465653;  // "LFVS"
-
-// Per-view prediction flags of the kAdaptive serialization.
-constexpr std::uint8_t kViewIntra = 0;
-constexpr std::uint8_t kViewInter = 1;
-
-/// Block-local index of the already-(de)coded lattice neighbor a view is
-/// predicted from: left within the row, the view above for column 0, none
-/// for view (0, 0). Derived from position, so it is never stored.
-int lattice_neighbor(std::size_t v, int span) {
-  const int col = static_cast<int>(v) % span;
-  const int row = static_cast<int>(v) / span;
-  if (col > 0) return static_cast<int>(v) - 1;
-  if (row > 0) return static_cast<int>(v) - span;
-  return -1;
-}
-
-/// Estimated coded size of a filtered plane, in milli-bits: the order-0
-/// entropy of its byte histogram. This models the Huffman stage directly,
-/// where the per-row magnitude-sum heuristic can badly misrank inter deltas
-/// (dither noise doubles in a difference of two views, which inflates the
-/// coded size far more than the magnitude sum suggests).
-std::uint64_t filtered_cost(const Bytes& filtered) {
-  std::uint64_t hist[256] = {};
-  for (const std::uint8_t b : filtered) ++hist[b];
-  const double n = static_cast<double>(filtered.size());
-  double bits = 0.0;
-  for (const std::uint64_t c : hist) {
-    if (c > 0) bits += static_cast<double>(c) * std::log2(n / static_cast<double>(c));
-  }
-  return static_cast<std::uint64_t>(bits * 1000.0);
-}
-
-Bytes delta_plane(const Bytes& cur, const Bytes& prev) {
-  Bytes delta(cur.size());
-  for (std::size_t i = 0; i < cur.size(); ++i) {
-    delta[i] = static_cast<std::uint8_t>(cur[i] - prev[i]);
-  }
-  return delta;
-}
 
 }  // namespace
 
@@ -105,34 +65,6 @@ Bytes ViewSet::serialize(SerializeMode mode) const {
       // Predictor-filter each view so the entropy coder sees residuals.
       out.raw(lfz::filter_image(image.bytes(), resolution_, resolution_, 3));
     }
-  } else if (mode == SerializeMode::kAdaptive) {
-    // Per-view choice: intra filters on the raw pixels, or the delta against
-    // the lattice neighbor filtered the same way, whichever leaves the
-    // smaller residual sum. A one-byte flag per view records the choice.
-    for (std::size_t v = 0; v < views_.size(); ++v) {
-      const Bytes& cur = views_[v].bytes();
-      const int neighbor = lattice_neighbor(v, span_);
-      Bytes intra = lfz::filter_image(cur, resolution_, resolution_, 3);
-      if (neighbor < 0) {
-        out.u8(kViewIntra);
-        out.raw(intra);
-        continue;
-      }
-      const Bytes delta = delta_plane(cur, views_[static_cast<std::size_t>(neighbor)].bytes());
-      Bytes inter = lfz::filter_image(delta, resolution_, resolution_, 3);
-      // The order-0 estimate is blind to the LZ stage, which thrives on the
-      // smooth intra planes and dies on noise-doubled deltas — so inter must
-      // win by a clear margin (~30% fewer estimated bits) before it is
-      // trusted. Measured on procedural sets: genuine inter wins (2.5-degree
-      // view spacing) land at <= ~0.68x intra, false wins at >= ~0.73x.
-      if (10 * filtered_cost(inter) < 7 * filtered_cost(intra)) {
-        out.u8(kViewInter);
-        out.raw(inter);
-      } else {
-        out.u8(kViewIntra);
-        out.raw(intra);
-      }
-    }
   } else {
     // View 0 intra; views 1..n-1 as per-pixel differences from the previous
     // view — angular coherence makes these residuals near-zero. The residual
@@ -164,7 +96,9 @@ ViewSet ViewSet::deserialize(const Bytes& data) {
     throw DecodeError("ViewSet: implausible shape");
   }
   const auto mode_byte = in.u8();
-  if (mode_byte > 2) throw DecodeError("ViewSet: unknown serialize mode");
+  if (mode_byte > static_cast<std::uint8_t>(SerializeMode::kInterView)) {
+    throw DecodeError("ViewSet: unknown serialize mode");
+  }
   const auto mode = static_cast<SerializeMode>(mode_byte);
 
   // Check the claimed shape against the body before allocating it: a short
@@ -172,27 +106,13 @@ ViewSet ViewSet::deserialize(const Bytes& data) {
   // rejects trailing bytes.
   const std::size_t views = static_cast<std::size_t>(span) * static_cast<std::size_t>(span);
   const std::size_t filtered_size = resolution * (resolution * 3 + 1);
-  const std::size_t flag_size = mode == SerializeMode::kAdaptive ? 1 : 0;
-  if (in.remaining() != views * (filtered_size + flag_size)) {
+  if (in.remaining() != views * filtered_size) {
     throw DecodeError("ViewSet: body size does not match shape");
   }
   ViewSet vs(id, span, resolution);
   const std::size_t plane_size = resolution * resolution * 3;
   for (std::size_t v = 0; v < vs.views_.size(); ++v) {
-    if (mode == SerializeMode::kAdaptive) {
-      const std::uint8_t flag = in.u8();
-      if (flag > kViewInter) throw DecodeError("ViewSet: bad view prediction flag");
-      Bytes plane = lfz::unfilter_image(in.raw(filtered_size), resolution, resolution, 3);
-      if (flag == kViewInter) {
-        const int neighbor = lattice_neighbor(v, span);
-        if (neighbor < 0) throw DecodeError("ViewSet: inter flag without neighbor");
-        const Bytes& base = vs.views_[static_cast<std::size_t>(neighbor)].bytes();
-        for (std::size_t i = 0; i < plane_size; ++i) {
-          plane[i] = static_cast<std::uint8_t>(base[i] + plane[i]);
-        }
-      }
-      vs.views_[v].bytes() = std::move(plane);
-    } else if (mode == SerializeMode::kIntra || v == 0) {
+    if (mode == SerializeMode::kIntra || v == 0) {
       const auto filtered = in.raw(filtered_size);
       vs.views_[v].bytes() = lfz::unfilter_image(filtered, resolution, resolution, 3);
     } else {
@@ -210,19 +130,7 @@ ViewSet ViewSet::deserialize(const Bytes& data) {
 
 Bytes ViewSet::compress(SerializeMode mode) const { return lfz::compress(serialize(mode)); }
 
-Bytes ViewSet::compress_chunked(std::uint64_t chunk_bytes, ThreadPool* pool,
-                                SerializeMode mode) const {
-  return lfz::compress_chunked(serialize(mode), chunk_bytes, {}, pool);
-}
-
-Bytes ViewSet::compress_lfz2(std::uint64_t chunk_bytes, ThreadPool* pool) const {
-  return lfz::compress_lfz2(serialize(SerializeMode::kAdaptive), chunk_bytes, {}, pool);
-}
-
-ViewSet ViewSet::decompress(const Bytes& compressed, ThreadPool* pool) {
-  if (lfz::is_chunked(compressed)) {
-    return deserialize(lfz::decompress_chunked(compressed, pool));
-  }
+ViewSet ViewSet::decompress(const Bytes& compressed) {
   return deserialize(lfz::decompress(compressed));
 }
 

@@ -14,7 +14,6 @@
 #include "lightfield/lattice.hpp"
 #include "render/image.hpp"
 #include "util/bytes.hpp"
-#include "util/thread_pool.hpp"
 
 namespace lon::lightfield {
 
@@ -26,12 +25,9 @@ namespace lon::lightfield {
 /// coherence", section 3.2): the first view is intra-coded, every later view
 /// is stored as its per-pixel difference from the previous view in the
 /// block, which is near-zero for 2.5-degree-apart cameras.
-/// kAdaptive (the LFZ2 payload) predicts each view from its already-decoded
-/// lattice neighbor (left in the block row, or the view above for column 0)
-/// and picks intra filtering vs. the inter delta per view by the smaller
-/// post-filter residual sum — parallax-heavy views fall back to intra
-/// instead of paying for a bad prediction.
-enum class SerializeMode : std::uint8_t { kIntra = 0, kInterView = 1, kAdaptive = 2 };
+/// The enum value is the mode byte on the wire; deserialize() refuses any
+/// other byte.
+enum class SerializeMode : std::uint8_t { kIntra = 0, kInterView = 1 };
 
 class ViewSet {
  public:
@@ -64,22 +60,8 @@ class ViewSet {
   /// serialize() + lfz compression in one step.
   [[nodiscard]] Bytes compress(SerializeMode mode = SerializeMode::kIntra) const;
 
-  /// Chunked variant: independent lfz chunks so big view sets can be
-  /// (de)compressed across a thread pool — the "more efficient compression
-  /// scheme" remedy for figure 8's decompression bottleneck at 500^2+.
-  [[nodiscard]] Bytes compress_chunked(std::uint64_t chunk_bytes = 1 << 20,
-                                       ThreadPool* pool = nullptr,
-                                       SerializeMode mode = SerializeMode::kIntra) const;
-
-  /// LFZ2: the adaptive inter-view serialization in a chunked container
-  /// under the "LFZ2" magic — fewer bytes on the wire than LFZC in the same
-  /// chunk layout.
-  [[nodiscard]] Bytes compress_lfz2(std::uint64_t chunk_bytes = 1 << 20,
-                                    ThreadPool* pool = nullptr) const;
-
-  /// Accepts plain and chunked containers of every mode (auto-detected); the
-  /// pool only matters for chunked input.
-  static ViewSet decompress(const Bytes& compressed, ThreadPool* pool = nullptr);
+  /// Inverse of compress(): accepts an LFZ1 container of either mode.
+  static ViewSet decompress(const Bytes& compressed);
 
   bool operator==(const ViewSet&) const = default;
 

@@ -15,44 +15,8 @@ std::optional<std::size_t> lru_index(const std::vector<CacheEntryInfo>& entries)
   return best;
 }
 
-class LruPolicy final : public EvictionPolicy {
- public:
-  const char* name() const override { return "lru"; }
-  std::optional<std::size_t> pick_victim(
-      const std::vector<CacheEntryInfo>& entries,
-      const CacheInsertInfo& /*incoming*/) const override {
-    return lru_index(entries);
-  }
-};
-
-class AngularPolicy final : public EvictionPolicy {
- public:
-  const char* name() const override { return "angular"; }
-  std::optional<std::size_t> pick_victim(const std::vector<CacheEntryInfo>& entries,
-                                         const CacheInsertInfo& incoming) const override {
-    if (entries.empty()) return std::nullopt;
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < entries.size(); ++i) {
-      const auto& e = entries[i];
-      const auto& b = entries[best];
-      if (e.cursor_distance > b.cursor_distance ||
-          (e.cursor_distance == b.cursor_distance && e.last_use < b.last_use)) {
-        best = i;
-      }
-    }
-    // Admission control: a speculative insert that is *farther* from the
-    // cursor than everything resident would only displace hotter data.
-    if (incoming.prefetched &&
-        entries[best].cursor_distance <= incoming.cursor_distance) {
-      return std::nullopt;
-    }
-    return best;
-  }
-};
-
 class HybridPolicy final : public EvictionPolicy {
  public:
-  const char* name() const override { return "hybrid"; }
   std::optional<std::size_t> pick_victim(const std::vector<CacheEntryInfo>& entries,
                                          const CacheInsertInfo& incoming) const override {
     if (entries.empty()) return std::nullopt;
@@ -89,8 +53,6 @@ const char* to_string(EvictionStrategy s) {
   switch (s) {
     case EvictionStrategy::kLru:
       return "lru";
-    case EvictionStrategy::kAngular:
-      return "angular";
     case EvictionStrategy::kHybrid:
       return "hybrid";
   }
@@ -98,15 +60,8 @@ const char* to_string(EvictionStrategy s) {
 }
 
 std::unique_ptr<EvictionPolicy> make_eviction_policy(EvictionStrategy s) {
-  switch (s) {
-    case EvictionStrategy::kAngular:
-      return std::make_unique<AngularPolicy>();
-    case EvictionStrategy::kHybrid:
-      return std::make_unique<HybridPolicy>();
-    case EvictionStrategy::kLru:
-      break;
-  }
-  return std::make_unique<LruPolicy>();
+  if (s == EvictionStrategy::kHybrid) return std::make_unique<HybridPolicy>();
+  return nullptr;
 }
 
 }  // namespace lon::policy

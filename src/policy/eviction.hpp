@@ -25,11 +25,10 @@
 namespace lon::policy {
 
 enum class EvictionStrategy {
-  kLru,      ///< seed behaviour: evict the least recently used entry
-  kAngular,  ///< evict the entry farthest (in view angle) from the cursor
-  kHybrid,   ///< pollution-aware: sacrifice unused prefetches first, protect
-             ///< the demand working set, admit prefetches only when colder
-             ///< entries exist to displace
+  kLru,     ///< seed behaviour: evict the least recently used entry
+  kHybrid,  ///< pollution-aware: sacrifice unused prefetches first, protect
+            ///< the demand working set, admit prefetches only when colder
+            ///< entries exist to displace
 };
 
 [[nodiscard]] const char* to_string(EvictionStrategy s);
@@ -57,7 +56,6 @@ struct CacheInsertInfo {
 class EvictionPolicy {
  public:
   virtual ~EvictionPolicy() = default;
-  [[nodiscard]] virtual const char* name() const = 0;
 
   /// Picks the index of the entry to evict to make room for `incoming`. The
   /// cache calls this repeatedly (with already-chosen victims removed from
@@ -70,6 +68,8 @@ class EvictionPolicy {
       const CacheInsertInfo& incoming) const = 0;
 };
 
+/// The policy for `s`, or null for kLru: the cache's own LRU list needs no
+/// policy.
 [[nodiscard]] std::unique_ptr<EvictionPolicy> make_eviction_policy(EvictionStrategy s);
 
 }  // namespace lon::policy

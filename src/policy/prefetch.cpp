@@ -28,13 +28,11 @@ std::vector<ViewSetId> quadrant_targets(const PrefetchContext& ctx) {
 
 class NonePolicy final : public PrefetchPolicy {
  public:
-  const char* name() const override { return "none"; }
   std::vector<ViewSetId> targets(const PrefetchContext&) const override { return {}; }
 };
 
 class QuadrantPolicy final : public PrefetchPolicy {
  public:
-  const char* name() const override { return "quadrant"; }
   std::vector<ViewSetId> targets(const PrefetchContext& ctx) const override {
     return quadrant_targets(ctx);
   }
@@ -42,8 +40,6 @@ class QuadrantPolicy final : public PrefetchPolicy {
 
 class PredictivePolicy final : public PrefetchPolicy {
  public:
-  const char* name() const override { return "predictive"; }
-
   std::vector<ViewSetId> targets(const PrefetchContext& ctx) const override {
     const auto* motion = ctx.motion;
     // No trajectory yet (first samples, or a teleport just reset the model):

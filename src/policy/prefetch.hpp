@@ -51,7 +51,6 @@ struct PrefetchContext {
 class PrefetchPolicy {
  public:
   virtual ~PrefetchPolicy() = default;
-  [[nodiscard]] virtual const char* name() const = 0;
 
   /// Targets to fetch, most urgent first, already filtered for residency and
   /// truncated to `ctx.budget`.

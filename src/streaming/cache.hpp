@@ -53,7 +53,7 @@ class ViewSetCache {
     policy_ = std::move(policy);
   }
 
-  /// Updates the cursor position the angular policies measure against.
+  /// Updates the cursor position the policy measures distances against.
   void set_cursor(const Spherical& dir) {
     std::lock_guard lock(mutex_);
     cursor_ = dir;

@@ -216,8 +216,8 @@ void Client::on_delivery(const ClientAgent::Delivery& delivery) {
   record.decompress_time = decompress_time;
 
   // Codec observability: bytes on the wire vs. pixels produced, keyed by the
-  // wire format ("lfzc", "lfz2", ...), right next to the client.decompress
-  // lifeline below.
+  // wire format ("lfz1", "stored", or "unknown" for the publisher's random
+  // filler), right next to the client.decompress lifeline below.
   const char* codec = lfz::wire_label(compressed);
   const std::string codec_label = std::string("codec=") + codec;
   obs_.metrics.counter("codec.bytes_in", codec_label).inc(compressed.size());

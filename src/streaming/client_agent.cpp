@@ -100,11 +100,9 @@ ClientAgent::ClientAgent(sim::Simulator& sim, sim::Network& net, ibp::Fabric& fa
   }
   lod_cost_ratios_ = policy::LodSelector::cost_ratios(
       lattice_.config().view_resolution, tier_resolutions);
-  // Plain LRU keeps the cache's O(1) legacy eviction path; other strategies
-  // install a policy (and the lattice, for cursor-distance measurements).
-  cache_.configure(&lattice_, config_.eviction == policy::EvictionStrategy::kLru
-                                  ? nullptr
-                                  : policy::make_eviction_policy(config_.eviction));
+  // Plain LRU has no policy object and keeps the cache's O(1) eviction path;
+  // other strategies install one (and the lattice, for cursor distances).
+  cache_.configure(&lattice_, policy::make_eviction_policy(config_.eviction));
   prefetch_policy_ = policy::make_prefetch_policy(
       config_.prefetch ? config_.prefetch_strategy : policy::PrefetchStrategy::kNone);
   if (config_.site_cache != nullptr) {

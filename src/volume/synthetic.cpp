@@ -1,6 +1,5 @@
 #include "volume/synthetic.hpp"
 
-#include <cmath>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -46,61 +45,6 @@ ScalarVolume make_neghip_like(std::size_t n, std::uint64_t seed, int charges) {
     }
   }
   vol.normalize();
-  return vol;
-}
-
-ScalarVolume make_fuel_like(std::size_t n, std::uint64_t seed, int blobs) {
-  ScalarVolume vol(n, n, n);
-  Rng rng(seed);
-  struct Blob {
-    Vec3 center;
-    double sigma;
-    double amplitude;
-  };
-  std::vector<Blob> sites;
-  for (int b = 0; b < blobs; ++b) {
-    sites.push_back({{rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5),
-                      rng.uniform(-0.5, 0.5)},
-                     rng.uniform(0.15, 0.4),
-                     rng.uniform(0.5, 1.0)});
-  }
-  for (std::size_t k = 0; k < n; ++k) {
-    for (std::size_t j = 0; j < n; ++j) {
-      for (std::size_t i = 0; i < n; ++i) {
-        const Vec3 p{
-            2.0 * static_cast<double>(i) / (static_cast<double>(n) - 1.0) - 1.0,
-            2.0 * static_cast<double>(j) / (static_cast<double>(n) - 1.0) - 1.0,
-            2.0 * static_cast<double>(k) / (static_cast<double>(n) - 1.0) - 1.0,
-        };
-        double v = 0.0;
-        for (const auto& blob : sites) {
-          const double d2 = (p - blob.center).norm2();
-          v += blob.amplitude * std::exp(-d2 / (2.0 * blob.sigma * blob.sigma));
-        }
-        vol.at(i, j, k) = static_cast<float>(v);
-      }
-    }
-  }
-  vol.normalize();
-  return vol;
-}
-
-ScalarVolume make_marschner_lobb(std::size_t n, double fm, double alpha) {
-  ScalarVolume vol(n, n, n);
-  for (std::size_t k = 0; k < n; ++k) {
-    for (std::size_t j = 0; j < n; ++j) {
-      for (std::size_t i = 0; i < n; ++i) {
-        const double x = 2.0 * static_cast<double>(i) / (static_cast<double>(n) - 1.0) - 1.0;
-        const double y = 2.0 * static_cast<double>(j) / (static_cast<double>(n) - 1.0) - 1.0;
-        const double z = 2.0 * static_cast<double>(k) / (static_cast<double>(n) - 1.0) - 1.0;
-        const double r = std::sqrt(x * x + y * y);
-        const double rho = std::cos(2.0 * kPi * fm * std::cos(kPi * r / 2.0));
-        const double value = (1.0 - std::sin(kPi * z / 2.0) + alpha * (1.0 + rho)) /
-                             (2.0 * (1.0 + alpha));
-        vol.at(i, j, k) = static_cast<float>(value);
-      }
-    }
-  }
   return vol;
 }
 

@@ -4,9 +4,7 @@
 // negative high-energy protein. We do not have that file, so
 // make_neghip_like() builds a field with the same size and character: the
 // summed Coulomb potential of a seeded arrangement of positive and negative
-// point charges, normalized to [0, 1]. Two further fields (Gaussian-blob
-// "fuel" and the Marschner-Lobb test signal) exercise the renderer and the
-// compression pipeline with different frequency content.
+// point charges, normalized to [0, 1].
 #pragma once
 
 #include <cstddef>
@@ -20,12 +18,5 @@ namespace lon::volume {
 /// pseudo-randomly inside the unit cube. Deterministic per seed.
 ScalarVolume make_neghip_like(std::size_t n = 64, std::uint64_t seed = 2003,
                               int charges = 14);
-
-/// Smooth sum of Gaussian blobs — low-frequency, very compressible.
-ScalarVolume make_fuel_like(std::size_t n = 64, std::uint64_t seed = 7, int blobs = 5);
-
-/// The Marschner-Lobb resolution test signal — high-frequency content near
-/// the Nyquist limit, the hard case for interpolation and compression.
-ScalarVolume make_marschner_lobb(std::size_t n = 64, double fm = 6.0, double alpha = 0.25);
 
 }  // namespace lon::volume

@@ -204,7 +204,6 @@ TEST_P(LfzRoundTrip, RandomBytes) {
   for (auto& b : input) b = static_cast<std::uint8_t>(rng.below(256));
   const Bytes packed = compress(input);
   EXPECT_EQ(decompress(packed), input);
-  EXPECT_EQ(decompressed_size(packed), input.size());
 }
 
 TEST_P(LfzRoundTrip, CompressibleBytes) {
@@ -293,57 +292,6 @@ TEST(Lfz, DetectsTruncation) {
   const Bytes packed = compress(Bytes(5000, 7));
   const Bytes cut(packed.begin(), packed.begin() + static_cast<long>(packed.size() / 2));
   EXPECT_THROW(decompress(cut), DecodeError);
-}
-
-// --- chunked lfz ------------------------------------------------------------------
-
-TEST(ChunkedLfz, RoundTripWithAndWithoutPool) {
-  Rng rng(5);
-  Bytes data(3'000'000);
-  std::uint8_t value = 0;
-  for (auto& b : data) {
-    if (rng.below(50) == 0) value = static_cast<std::uint8_t>(rng.next());
-    b = value;
-  }
-  const Bytes packed = compress_chunked(data, 512 * 1024);
-  EXPECT_TRUE(is_chunked(packed));
-  EXPECT_FALSE(is_chunked(compress(Bytes{1, 2, 3})));
-  EXPECT_EQ(decompress_chunked(packed), data);
-
-  ThreadPool pool(4);
-  const Bytes packed_par = compress_chunked(data, 512 * 1024, {}, &pool);
-  EXPECT_EQ(packed_par, packed);  // parallelism never changes the bytes
-  EXPECT_EQ(decompress_chunked(packed_par, &pool), data);
-}
-
-TEST(ChunkedLfz, EmptyAndSingleChunk) {
-  EXPECT_TRUE(decompress_chunked(compress_chunked({}, 1024)).empty());
-  const Bytes tiny = {1, 2, 3};
-  EXPECT_EQ(decompress_chunked(compress_chunked(tiny, 1024)), tiny);
-}
-
-TEST(ChunkedLfz, CorruptionIsDetectedAcrossChunkBoundaries) {
-  Bytes data(200'000, 0x42);
-  Bytes packed = compress_chunked(data, 64 * 1024);
-  packed[packed.size() / 2] ^= 0xff;  // damage some interior chunk
-  EXPECT_THROW(decompress_chunked(packed), DecodeError);
-  EXPECT_THROW(compress_chunked(data, 0), std::invalid_argument);
-  EXPECT_THROW(decompress_chunked(Bytes{1, 2, 3, 4, 5}), DecodeError);
-}
-
-TEST(ChunkedLfz, RatioCostOfChunkingIsModest) {
-  Rng rng(8);
-  Bytes data(2'000'000);
-  std::uint8_t value = 0;
-  for (auto& b : data) {
-    if (rng.below(30) == 0) value = static_cast<std::uint8_t>(rng.next());
-    b = value;
-  }
-  const std::size_t whole = compress(data).size();
-  // Pooled chunks are byte-identical to serial ones (RoundTripWithAndWithoutPool).
-  ThreadPool pool(4);
-  const std::size_t chunked = compress_chunked(data, 256 * 1024, {}, &pool).size();
-  EXPECT_LT(static_cast<double>(chunked), 1.15 * static_cast<double>(whole));
 }
 
 // --- filters --------------------------------------------------------------------
@@ -551,9 +499,7 @@ Bytes hardening_payload(std::size_t size) {
 /// fails the test.
 void expect_rejected_or_intact(const Bytes& corrupted, const Bytes& original) {
   try {
-    const Bytes out = is_chunked(corrupted) ? decompress_chunked(corrupted)
-                                            : decompress(corrupted);
-    EXPECT_EQ(out, original);
+    EXPECT_EQ(decompress(corrupted), original);
   } catch (const DecodeError&) {
     // expected
   }
@@ -563,28 +509,24 @@ void expect_rejected_or_intact(const Bytes& corrupted, const Bytes& original) {
 
 TEST(LfzHardening, TruncationsNeverCrash) {
   const Bytes input = hardening_payload(20000);
-  for (const Bytes& container :
-       {compress(input), compress_chunked(input, 4096), compress_lfz2(input, 4096)}) {
-    for (std::size_t keep = 0; keep < container.size();
-         keep += std::max<std::size_t>(1, container.size() / 97)) {
-      const Bytes cut(container.begin(),
-                      container.begin() + static_cast<std::ptrdiff_t>(keep));
-      expect_rejected_or_intact(cut, input);
-    }
+  const Bytes container = compress(input);
+  for (std::size_t keep = 0; keep < container.size();
+       keep += std::max<std::size_t>(1, container.size() / 97)) {
+    const Bytes cut(container.begin(),
+                    container.begin() + static_cast<std::ptrdiff_t>(keep));
+    expect_rejected_or_intact(cut, input);
   }
 }
 
 TEST(LfzHardening, BitFlipsNeverCrash) {
   const Bytes input = hardening_payload(20000);
-  for (const Bytes& container :
-       {compress(input), compress_chunked(input, 4096), compress_lfz2(input, 4096)}) {
-    for (std::size_t pos = 0; pos < container.size();
-         pos += std::max<std::size_t>(1, container.size() / 211)) {
-      for (const int bit : {0, 3, 7}) {
-        Bytes flipped = container;
-        flipped[pos] = static_cast<std::uint8_t>(flipped[pos] ^ (1u << bit));
-        expect_rejected_or_intact(flipped, input);
-      }
+  const Bytes container = compress(input);
+  for (std::size_t pos = 0; pos < container.size();
+       pos += std::max<std::size_t>(1, container.size() / 211)) {
+    for (const int bit : {0, 3, 7}) {
+      Bytes flipped = container;
+      flipped[pos] = static_cast<std::uint8_t>(flipped[pos] ^ (1u << bit));
+      expect_rejected_or_intact(flipped, input);
     }
   }
 }
@@ -596,18 +538,6 @@ TEST(LfzHardening, ForgedLengthFieldsThrowInsteadOfAllocating) {
   Bytes huge = compress(input);
   for (int i = 0; i < 8; ++i) huge[4 + i] = i == 7 ? 0x10 : 0x00;
   EXPECT_THROW((void)decompress(huge), DecodeError);
-
-  for (Bytes container : {compress_chunked(input, 1024), compress_lfz2(input, 1024)}) {
-    // Chunked: forge the u32 chunk count at offset 12 to ~4 billion.
-    Bytes many = container;
-    many[12] = many[13] = many[14] = many[15] = 0xff;
-    EXPECT_THROW((void)decompress_chunked(many), DecodeError);
-
-    // And the u64 claimed original size at offset 4.
-    Bytes big = container;
-    for (int i = 0; i < 8; ++i) big[4 + i] = 0xff;
-    EXPECT_THROW((void)decompress_chunked(big), DecodeError);
-  }
 }
 
 TEST(LfzHardening, WireLabelNeverThrows) {
@@ -616,8 +546,12 @@ TEST(LfzHardening, WireLabelNeverThrows) {
   CompressOptions stored;
   stored.store_only = true;
   EXPECT_STREQ(wire_label(compress(input, stored)), "stored");
-  EXPECT_STREQ(wire_label(compress_chunked(input, 1024)), "lfzc");
-  EXPECT_STREQ(wire_label(compress_lfz2(input, 1024)), "lfz2");
+  // Bytes under the retired LFZC and LFZ2 magics label as unknown.
+  for (const char retired : {'C', '2'}) {
+    Bytes container = compress(input);
+    container[3] = static_cast<std::uint8_t>(retired);
+    EXPECT_STREQ(wire_label(container), "unknown");
+  }
   EXPECT_STREQ(wire_label(Bytes{}), "unknown");
   EXPECT_STREQ(wire_label(Bytes{'L', 'F'}), "unknown");
   EXPECT_STREQ(wire_label(Bytes(3, 0xff)), "unknown");
@@ -632,39 +566,10 @@ TEST(LfzHardening, StoreOnlyRoundTrips) {
   EXPECT_EQ(decompress(packed), input);
 }
 
-TEST(LfzHardening, Lfz2ContainerRoundTripsArbitraryBytes) {
-  // compress_lfz2 is byte-transparent: the inter-view prediction lives in
-  // the serialization layer above, so any payload must survive.
-  Rng rng(8181);
-  for (const std::size_t size : {0ul, 1ul, 4095ul, 70000ul}) {
-    Bytes data(size);
-    for (auto& b : data) b = static_cast<std::uint8_t>(rng.below(256));
-    const Bytes packed = compress_lfz2(data, 16 * 1024);
-    EXPECT_TRUE(is_lfz2(packed));
-    EXPECT_TRUE(is_chunked(packed));
-    EXPECT_EQ(decompress_chunked(packed), data);
-  }
-}
-
-TEST(LfzHardening, PooledChunkedRoundTripsMatchSerial) {
-  // TSan target: the same chunks compressed/decompressed across a pool must
-  // produce byte-identical containers and outputs.
-  const Bytes input = hardening_payload(150000);
-  ThreadPool pool(3);
-  const Bytes serial_c = compress_chunked(input, 16 * 1024);
-  const Bytes pooled_c = compress_chunked(input, 16 * 1024, {}, &pool);
-  EXPECT_EQ(serial_c, pooled_c);
-  const Bytes serial_2 = compress_lfz2(input, 16 * 1024);
-  const Bytes pooled_2 = compress_lfz2(input, 16 * 1024, {}, &pool);
-  EXPECT_EQ(serial_2, pooled_2);
-  EXPECT_EQ(decompress_chunked(pooled_c, &pool), input);
-  EXPECT_EQ(decompress_chunked(pooled_2, &pool), input);
-}
-
 // --- golden containers ---------------------------------------------------------------
 
 // Captured from the encoder before the table-driven decode path landed; the
-// decoder must keep accepting historical LFZ1/LFZC containers bit-for-bit.
+// decoder must keep accepting historical LFZ1 containers bit-for-bit.
 #include "golden_lfz_blobs.inc"
 
 TEST(LfzGolden, SeedEncoderContainersStillDecode) {
@@ -672,10 +577,6 @@ TEST(LfzGolden, SeedEncoderContainersStillDecode) {
   const Bytes lfz1(kGoldenLfz1, kGoldenLfz1 + sizeof(kGoldenLfz1));
   EXPECT_STREQ(wire_label(lfz1), "lfz1");
   EXPECT_EQ(decompress(lfz1), want);
-
-  const Bytes lfzc(kGoldenLfzc, kGoldenLfzc + sizeof(kGoldenLfzc));
-  EXPECT_STREQ(wire_label(lfzc), "lfzc");
-  EXPECT_EQ(decompress_chunked(lfzc), want);
 }
 
 // --- fast vs scalar kernel equivalence --------------------------------------
@@ -767,37 +668,26 @@ TEST(FilterKernels, RowShorterThanOnePixelStillMatches) {
   }
 }
 
-TEST(Lfz, DecompressIntoMatchesDecompressAndCountsNoCopiesForLz) {
+TEST(Lfz, DecompressCountsNoCopiesForLz) {
   const Bytes data = hardening_payload(40000);
   const Bytes packed = compress(data);
-  ASSERT_EQ(decompressed_size(packed), data.size());
-  Bytes out(data.size(), 0xEE);
   const std::uint64_t before = util::payload_bytes_copied();
-  decompress_into(packed, out);
+  const Bytes out = decompress(packed);
   EXPECT_EQ(out, data);
-  // LZ-coded bodies decode straight into the destination: zero meter traffic.
+  // LZ-coded bodies decode straight into the output: zero meter traffic.
   EXPECT_EQ(util::payload_bytes_copied() - before, 0u);
 }
 
-TEST(Lfz, DecompressIntoStoredBodyChargesExactlyOnePass) {
+TEST(Lfz, DecompressStoredBodyChargesExactlyOnePass) {
   Rng rng(99);
   Bytes noise(5000);
   for (auto& b : noise) b = static_cast<std::uint8_t>(rng.below(256));
   const Bytes packed = compress(noise);  // incompressible -> stored method
-  Bytes out(noise.size(), 0);
+  ASSERT_STREQ(wire_label(packed), "stored");
   const std::uint64_t before = util::payload_bytes_copied();
-  decompress_into(packed, out);
+  const Bytes out = decompress(packed);
   EXPECT_EQ(out, noise);
   EXPECT_EQ(util::payload_bytes_copied() - before, noise.size());
-}
-
-TEST(Lfz, DecompressIntoRejectsWrongSizedDestination) {
-  const Bytes data = hardening_payload(3000);
-  const Bytes packed = compress(data);
-  Bytes small(data.size() - 1);
-  EXPECT_THROW(decompress_into(packed, small), DecodeError);
-  Bytes big(data.size() + 1);
-  EXPECT_THROW(decompress_into(packed, big), DecodeError);
 }
 
 TEST(Lfz, WideMatchCopyExpandsOverlappingRunsExactly) {
@@ -809,11 +699,7 @@ TEST(Lfz, WideMatchCopyExpandsOverlappingRunsExactly) {
     for (int rep = 0; rep < 90; ++rep)
       data.push_back(data[data.size() - static_cast<std::size_t>(d)]);
   }
-  const Bytes packed = compress(data);
-  EXPECT_EQ(decompress(packed), data);
-  Bytes out(data.size());
-  decompress_into(packed, out);
-  EXPECT_EQ(out, data);
+  EXPECT_EQ(decompress(compress(data)), data);
 }
 
 }  // namespace

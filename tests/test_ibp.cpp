@@ -125,7 +125,6 @@ TEST_F(DepotTest, AdmissionRefusesOversizeAndOverlongRequests) {
   EXPECT_EQ(depot_.allocate({100, 1'000 * kSecond, AllocType::kHard}).status,
             IbpStatus::kRefused);
   EXPECT_EQ(depot_.allocate({0, kSecond, AllocType::kHard}).status, IbpStatus::kRefused);
-  EXPECT_EQ(depot_.stats().allocations_refused, 3u);
 }
 
 TEST_F(DepotTest, CapacityExhaustionReportsNoCapacity) {
@@ -200,7 +199,6 @@ TEST_F(DepotTest, SoftAllocationsAreRevokedUnderPressure) {
   Bytes out;
   EXPECT_EQ(depot_.load(s1.read, 0, 1, out), IbpStatus::kRevoked);
   EXPECT_EQ(depot_.load(s2.read, 0, 1, out), IbpStatus::kOk);
-  EXPECT_EQ(depot_.stats().soft_revoked, 1u);
 }
 
 TEST_F(DepotTest, LruOrderRespectsAccessTime) {
@@ -222,18 +220,7 @@ TEST_F(DepotTest, HardAllocationsAreNeverRevoked) {
   must_allocate(4'000, 50 * kSecond, AllocType::kHard);
   EXPECT_EQ(depot_.allocate({4'000, kSecond, AllocType::kHard}).status,
             IbpStatus::kNoCapacity);
-  EXPECT_EQ(depot_.stats().soft_revoked, 0u);
   EXPECT_EQ(depot_.allocation_count(), 2u);
-}
-
-TEST_F(DepotTest, StatsAccumulate) {
-  const auto caps = must_allocate(100);
-  depot_.store(caps.write, 0, Bytes{1, 2, 3});
-  Bytes out;
-  depot_.load(caps.read, 0, 2, out);
-  EXPECT_EQ(depot_.stats().allocations_made, 1u);
-  EXPECT_EQ(depot_.stats().bytes_stored, 3u);
-  EXPECT_EQ(depot_.stats().bytes_loaded, 2u);
 }
 
 // --- copy-on-write storage -----------------------------------------------------

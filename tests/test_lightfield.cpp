@@ -342,81 +342,6 @@ TEST(ViewSetData, InterViewRoundTripsOnRandomContent) {
   EXPECT_EQ(ViewSet::decompress(vs.compress(SerializeMode::kInterView)), vs);
 }
 
-TEST(ViewSetData, ChunkedCompressionRoundTripsAndAutoDetects) {
-  ProceduralSource source(small_config(64));
-  const ViewSet vs = source.build({1, 2});
-  const Bytes chunked = vs.compress_chunked(16 * 1024);
-  const Bytes plain = vs.compress();
-  EXPECT_EQ(ViewSet::decompress(chunked), vs);  // auto-detected container
-  EXPECT_EQ(ViewSet::decompress(plain), vs);
-  ThreadPool pool(2);
-  EXPECT_EQ(ViewSet::decompress(chunked, &pool), vs);
-  // Chunking costs a little ratio but not much.
-  EXPECT_LT(static_cast<double>(chunked.size()),
-            1.25 * static_cast<double>(plain.size()));
-}
-
-TEST(ViewSetData, AdaptiveModeRoundTrips) {
-  ProceduralSource coherent(small_config(32));
-  const ViewSet vs = coherent.build({1, 2});
-  EXPECT_EQ(ViewSet::deserialize(vs.serialize(SerializeMode::kAdaptive)), vs);
-
-  // Incoherent content: every view should fall back to intra, and still
-  // round-trip exactly.
-  ViewSet noisy({0, 1}, 2, 16);
-  Rng rng(99);
-  for (int r = 0; r < 2; ++r) {
-    for (int c = 0; c < 2; ++c) {
-      for (auto& b : noisy.view(r, c).bytes()) {
-        b = static_cast<std::uint8_t>(rng.below(256));
-      }
-    }
-  }
-  EXPECT_EQ(ViewSet::deserialize(noisy.serialize(SerializeMode::kAdaptive)), noisy);
-}
-
-TEST(ViewSetData, Lfz2RoundTripsAndAutoDetects) {
-  ProceduralSource source(small_config(64));
-  const ViewSet vs = source.build({1, 2});
-  const Bytes lfz2 = vs.compress_lfz2(16 * 1024);
-  EXPECT_EQ(ViewSet::decompress(lfz2), vs);  // auto-detected container
-  ThreadPool pool(2);
-  EXPECT_EQ(ViewSet::decompress(lfz2, &pool), vs);
-}
-
-TEST(ViewSetData, Lfz2BeatsLfzcAtPaperViewSpacing) {
-  // At the paper's 2.5-degree view spacing the lattice-neighbor prediction
-  // must pay for its flag bytes many times over.
-  LatticeConfig cfg;
-  cfg.angular_step_deg = 2.5;
-  cfg.view_set_span = 3;
-  cfg.view_resolution = 96;
-  ProceduralSource source(cfg);
-  const ViewSet vs = source.build({3, 7});
-  const Bytes lfzc = vs.compress_chunked(64 * 1024);
-  const Bytes lfz2 = vs.compress_lfz2(64 * 1024);
-  EXPECT_LT(static_cast<double>(lfz2.size()), 0.95 * static_cast<double>(lfzc.size()));
-  EXPECT_EQ(ViewSet::decompress(lfz2), vs);
-}
-
-TEST(ViewSetData, AdaptiveDeserializeRejectsBadFlags) {
-  ViewSet vs({0, 0}, 2, 8);
-  Bytes data = vs.serialize(SerializeMode::kAdaptive);
-  const std::size_t first_flag = 21;  // 5 u32 header fields + mode byte
-
-  Bytes bad_flag = data;
-  bad_flag[first_flag] = 7;  // neither intra nor inter
-  EXPECT_THROW(ViewSet::deserialize(bad_flag), DecodeError);
-
-  Bytes inter_without_neighbor = data;
-  inter_without_neighbor[first_flag] = 1;  // view (0,0) has no neighbor
-  EXPECT_THROW(ViewSet::deserialize(inter_without_neighbor), DecodeError);
-
-  Bytes bad_mode = vs.serialize();
-  bad_mode[20] = 9;  // unknown serialize mode
-  EXPECT_THROW(ViewSet::deserialize(bad_mode), DecodeError);
-}
-
 TEST(ViewSetData, DeserializeRejectsGarbage) {
   EXPECT_THROW(ViewSet::deserialize(Bytes{1, 2, 3}), DecodeError);
   ViewSet vs({0, 0}, 1, 4);
@@ -426,6 +351,13 @@ TEST(ViewSetData, DeserializeRejectsGarbage) {
   data.resize(data.size() - 2);
   EXPECT_THROW(ViewSet::deserialize(data), DecodeError);
 
+  // Mode bytes past kInterView, including the retired adaptive mode's 2.
+  for (const std::uint8_t mode : {2, 9}) {
+    Bytes bad_mode = vs.serialize();
+    bad_mode[20] = mode;  // after the 5 u32 header fields
+    EXPECT_THROW(ViewSet::deserialize(bad_mode), DecodeError);
+  }
+
   // The largest shape the header may claim (64^2 views at 8192^2, about
   // 825 GB of pixels) over a short body: rejected before any allocation.
   ByteWriter forged;
@@ -434,9 +366,14 @@ TEST(ViewSetData, DeserializeRejectsGarbage) {
   forged.u32(0);
   forged.u32(64);
   forged.u32(8192);
-  forged.u8(static_cast<std::uint8_t>(SerializeMode::kAdaptive));
+  forged.u8(static_cast<std::uint8_t>(SerializeMode::kIntra));
   forged.raw(Bytes(64, 0));
   EXPECT_THROW(ViewSet::deserialize(forged.take()), DecodeError);
+
+  // A container under the retired chunked magic is not decoded.
+  Bytes chunked = vs.compress();
+  chunked[3] = 'C';  // "LFZ1" -> "LFZC"
+  EXPECT_THROW(ViewSet::decompress(chunked), DecodeError);
 }
 
 TEST(ViewSetData, BlankIsOneSharedBlackSetPerShape) {

@@ -26,7 +26,7 @@ class LorsTest : public ::testing::Test {
       wan_depots_.push_back(name);
     }
     lan_node_ = net_.add_node("lan-depot-node");
-    net_.add_link(client_, lan_node_, {1e9, 50 * kMicrosecond, 0.0});
+    lan_link_ = net_.add_link(client_, lan_node_, {1e9, 50 * kMicrosecond, 0.0});
     add_depot(lan_node_, "lan");
   }
 
@@ -68,6 +68,7 @@ class LorsTest : public ::testing::Test {
   ibp::Fabric fabric_;
   Lors lors_;
   sim::NodeId client_ = 0, lan_node_ = 0;
+  sim::LinkId lan_link_ = 0;
   std::vector<std::string> wan_depots_;
 };
 
@@ -136,12 +137,13 @@ TEST_F(LorsTest, DownloadPrefersCloserReplica) {
   ASSERT_EQ(augmented->status, LorsStatus::kOk);
   EXPECT_EQ(augmented->extents_copied, 2u);
 
-  const std::uint64_t lan_loaded_before = fabric_.find_depot("lan")->stats().bytes_loaded;
+  // Every downloaded byte crosses the LAN depot's link toward the client.
+  const auto lan_carried = [&] { return net_.link_stats(lan_link_, false).bytes_carried; };
+  const std::uint64_t lan_carried_before = lan_carried();
   const auto result = download(augmented->exnode);
   ASSERT_EQ(result.status, LorsStatus::kOk);
   EXPECT_EQ(*result.data, data);
-  EXPECT_EQ(fabric_.find_depot("lan")->stats().bytes_loaded - lan_loaded_before,
-            data.size());
+  EXPECT_EQ(lan_carried() - lan_carried_before, data.size());
 }
 
 TEST_F(LorsTest, DownloadFailsOverToSurvivingReplica) {

@@ -140,31 +140,6 @@ CacheEntryInfo entry(const ViewSetId& id, std::uint64_t last_use, bool prefetche
   return CacheEntryInfo{id, 100, last_use, prefetched, demand_used, distance};
 }
 
-TEST(Eviction, LruPicksTheLeastRecentlyUsed) {
-  const auto policy = make_eviction_policy(EvictionStrategy::kLru);
-  const std::vector<CacheEntryInfo> entries = {
-      entry({0, 0}, 5, false, true, 0.1),
-      entry({0, 1}, 2, false, true, 0.9),
-      entry({0, 2}, 8, false, true, 0.5),
-  };
-  const auto pick = policy->pick_victim(entries, {{9, 9}, 100, true, 99.0});
-  ASSERT_TRUE(pick.has_value());
-  EXPECT_EQ(entries[*pick].id, (ViewSetId{0, 1}));  // never rejects
-}
-
-TEST(Eviction, AngularEvictsFarthestAndRejectsColderPrefetch) {
-  const auto policy = make_eviction_policy(EvictionStrategy::kAngular);
-  const std::vector<CacheEntryInfo> entries = {
-      entry({0, 0}, 5, false, true, 0.1),
-      entry({0, 1}, 2, false, true, 0.9),
-  };
-  const auto pick = policy->pick_victim(entries, {{9, 9}, 100, false, 0.0});
-  ASSERT_TRUE(pick.has_value());
-  EXPECT_EQ(entries[*pick].id, (ViewSetId{0, 1}));
-  // A speculative insert farther out than everything resident is refused.
-  EXPECT_FALSE(policy->pick_victim(entries, {{9, 9}, 100, true, 2.0}).has_value());
-}
-
 TEST(Eviction, HybridSacrificesPollutionFirst) {
   const auto policy = make_eviction_policy(EvictionStrategy::kHybrid);
   const std::vector<CacheEntryInfo> entries = {
@@ -174,7 +149,7 @@ TEST(Eviction, HybridSacrificesPollutionFirst) {
   };
   const auto pick = policy->pick_victim(entries, {{9, 9}, 100, false, 0.0});
   ASSERT_TRUE(pick.has_value());
-  // LRU would kill {0,0}; angular would kill {0,0} too. The polluter goes.
+  // LRU would kill {0,0}, the oldest and farthest. The polluter goes.
   EXPECT_EQ(entries[*pick].id, (ViewSetId{0, 1}));
 }
 

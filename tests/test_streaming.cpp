@@ -7,7 +7,6 @@
 #include <memory>
 #include <optional>
 
-#include "compress/lfz.hpp"
 #include "lightfield/procedural.hpp"
 #include "streaming/cache.hpp"
 #include "streaming/client.hpp"
@@ -833,23 +832,6 @@ TEST_F(PipelineTest, ServerAgentGeneratesOnDvsMiss) {
   EXPECT_FALSE(received.empty());
   EXPECT_EQ(server.generated_count(), 1u);
   EXPECT_TRUE(dvs_->knows(id));
-  EXPECT_EQ(lightfield::ViewSet::decompress(received), source_->build(id));
-}
-
-TEST_F(PipelineTest, AgentDeliversLfz2PayloadsThatDecode) {
-  // A view set published as the inter-view-predicted LFZ2 container: the
-  // delivery path and the client-side decode must not care.
-  const ViewSetId id{2, 3};
-  publish_payload(id, source_->build(id).compress_lfz2());
-
-  auto agent = make_agent(false, false);
-  Bytes received;
-  agent->request_view_set(id, [&](const ClientAgent::Delivery& d) {
-    received = *d.payload;
-  });
-  sim_.run();
-  ASSERT_FALSE(received.empty());
-  EXPECT_STREQ(lfz::wire_label(received), "lfz2");
   EXPECT_EQ(lightfield::ViewSet::decompress(received), source_->build(id));
 }
 

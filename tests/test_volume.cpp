@@ -115,33 +115,6 @@ TEST(Synthetic, DefaultSizeMatchesPaper) {
   EXPECT_EQ(vol.nz(), 64u);
 }
 
-TEST(Synthetic, FuelLikeIsSmooth) {
-  const auto vol = make_fuel_like(32);
-  // Neighbouring voxels differ by little in a Gaussian-blob field.
-  double max_step = 0.0;
-  for (std::size_t k = 0; k < 32; ++k) {
-    for (std::size_t j = 0; j < 32; ++j) {
-      for (std::size_t i = 1; i < 32; ++i) {
-        max_step = std::max(
-            max_step, std::abs(static_cast<double>(vol.at(i, j, k)) - vol.at(i - 1, j, k)));
-      }
-    }
-  }
-  EXPECT_LT(max_step, 0.2);
-}
-
-TEST(Synthetic, MarschnerLobbHasHighFrequencyContent) {
-  const auto vol = make_marschner_lobb(40);
-  double max_step = 0.0;
-  for (std::size_t j = 0; j < 40; ++j) {
-    for (std::size_t i = 1; i < 40; ++i) {
-      max_step = std::max(
-          max_step, std::abs(static_cast<double>(vol.at(i, j, 20)) - vol.at(i - 1, j, 20)));
-    }
-  }
-  EXPECT_GT(max_step, 0.15);  // oscillates near Nyquist
-}
-
 // --- transfer functions -----------------------------------------------------------
 
 TEST(Transfer, EmptyEvaluatesToZero) {
