@@ -19,43 +19,35 @@ constexpr std::uint32_t kEob = 256;
 constexpr std::size_t kLitAlphabet = 286;  // 0..255 literals, 256 EOB, 257..285 lengths
 constexpr std::size_t kDistAlphabet = 30;
 
-// DEFLATE length codes: base length and extra bits for symbols 257..285.
-struct LengthCode {
-  std::uint32_t base;
-  int extra;
-};
-constexpr std::array<LengthCode, 29> kLengthCodes = {{
-    {3, 0},   {4, 0},   {5, 0},   {6, 0},   {7, 0},   {8, 0},   {9, 0},   {10, 0},
-    {11, 1},  {13, 1},  {15, 1},  {17, 1},  {19, 2},  {23, 2},  {27, 2},  {31, 2},
-    {35, 3},  {43, 3},  {51, 3},  {59, 3},  {67, 4},  {83, 4},  {99, 4},  {115, 4},
-    {131, 5}, {163, 5}, {195, 5}, {227, 5}, {258, 0},
-}};
-
-// DEFLATE distance codes: base distance and extra bits for symbols 0..29.
-constexpr std::array<LengthCode, 30> kDistCodes = {{
-    {1, 0},     {2, 0},     {3, 0},     {4, 0},     {5, 1},     {7, 1},
-    {9, 2},     {13, 2},    {17, 3},    {25, 3},    {33, 4},    {49, 4},
-    {65, 5},    {97, 5},    {129, 6},   {193, 6},   {257, 7},   {385, 7},
-    {513, 8},   {769, 8},   {1025, 9},  {1537, 9},  {2049, 10}, {3073, 10},
-    {4097, 11}, {6145, 11}, {8193, 12}, {12289, 12},{16385, 13},{24577, 13},
-}};
-
-/// Symbol for a match length in [3, 258].
-std::uint32_t length_symbol(std::uint32_t length) {
-  // Linear scan is fine: 29 entries, called once per token.
-  for (std::size_t i = kLengthCodes.size(); i-- > 0;) {
-    if (length >= kLengthCodes[i].base) return static_cast<std::uint32_t>(257 + i);
-  }
-  throw DecodeError("lfz: match length out of range");
+/// The last code in `codes` whose base does not exceed `value`.
+template <std::size_t N>
+constexpr std::uint8_t code_of(const std::array<LengthCode, N>& codes,
+                               std::uint32_t value) {
+  std::size_t i = N - 1;
+  while (i > 0 && codes[i].base > value) --i;
+  return static_cast<std::uint8_t>(i);
 }
 
-/// Symbol for a distance in [1, 32768].
-std::uint32_t distance_symbol(std::uint32_t distance) {
-  for (std::size_t i = kDistCodes.size(); i-- > 0;) {
-    if (distance >= kDistCodes[i].base) return static_cast<std::uint32_t>(i);
+/// zlib's _length_code: the code index of every length up to 258.
+constexpr std::array<std::uint8_t, kMaxMatch + 1> kLengthIndex = [] {
+  std::array<std::uint8_t, kMaxMatch + 1> table{};
+  for (std::uint32_t len = 0; len <= kMaxMatch; ++len) {
+    table[len] = code_of(kLengthCodes, len);
   }
-  throw DecodeError("lfz: distance out of range");
-}
+  return table;
+}();
+
+/// zlib's _dist_code: distance d's code index sits at d - 1 for d <= 256 and
+/// at 256 + ((d - 1) >> 7) above, because every code past that starts where
+/// d - 1 is a multiple of 128.
+constexpr std::array<std::uint8_t, 512> kDistIndex = [] {
+  std::array<std::uint8_t, 512> table{};
+  for (std::uint32_t i = 0; i < 256; ++i) table[i] = code_of(kDistCodes, i + 1);
+  for (std::uint32_t i = 2; i < 256; ++i) {
+    table[256 + i] = code_of(kDistCodes, (i << 7) + 1);
+  }
+  return table;
+}();
 
 void write_lengths_packed(ByteWriter& out, std::span<const std::uint8_t> lengths) {
   // Two 4-bit lengths per byte (code lengths never exceed 15).
@@ -77,6 +69,12 @@ std::vector<std::uint8_t> read_lengths_packed(ByteReader& in, std::size_t count)
 }
 
 }  // namespace
+
+std::uint32_t length_symbol(std::uint32_t length) { return 257 + kLengthIndex[length]; }
+
+std::uint32_t distance_symbol(std::uint32_t distance) {
+  return kDistIndex[distance <= 256 ? distance - 1 : 256 + ((distance - 1) >> 7)];
+}
 
 Bytes compress(std::span<const std::uint8_t> data, const CompressOptions& options) {
   ByteWriter header;

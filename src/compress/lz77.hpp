@@ -32,7 +32,9 @@ struct Token {
 };
 
 /// Tokenizes `data`. The output always reproduces `data` exactly when
-/// expanded.
+/// expanded. Inputs of 256 KiB and more are parsed in segments across
+/// ThreadPool::shared() and joined; the tokens are those of one serial parse
+/// from the start, whatever the split (DESIGN.md section 11).
 std::vector<Token> lz77_tokenize(std::span<const std::uint8_t> data);
 
 /// Expands a token stream produced by lz77_tokenize. Throws DecodeError on

@@ -26,9 +26,9 @@ ViewSet RaycastBuilder::build(const ViewSetId& id) {
   const auto views = static_cast<std::size_t>(span) * static_cast<std::size_t>(span);
   if (pool_.size() > 1 && views > 1) {
     // Batch the whole view set: one task per view, each rendered
-    // single-threaded so the pool is never re-entered from a worker
-    // (parallel_for does not nest). Views write disjoint images, so the
-    // result is byte-identical to the serial loop.
+    // single-threaded (a parallel_for nested in a worker would run inline
+    // anyway). Views write disjoint images, so the result is byte-identical
+    // to the serial loop.
     pool_.parallel_for(
         0, views,
         [&](std::size_t i) {

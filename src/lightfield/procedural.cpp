@@ -1,8 +1,10 @@
 #include "lightfield/procedural.hpp"
 
+#include <array>
 #include <cmath>
 
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace lon::lightfield {
 
@@ -11,6 +13,13 @@ ProceduralSource::ProceduralSource(const LatticeConfig& config) : lattice_(confi
 render::ImageRGB8 ProceduralSource::render_sample(std::size_t row, std::size_t col) const {
   const std::size_t r = lattice_.config().view_resolution;
   render::ImageRGB8 image(r, r);
+  synthesize(row, col, image);
+  return image;
+}
+
+void ProceduralSource::synthesize(std::size_t row, std::size_t col,
+                                  render::ImageRGB8& image) const {
+  const std::size_t r = lattice_.config().view_resolution;
   const Spherical dir = lattice_.sample_direction(row, col);
 
   // Blob parameters are global to the dataset (seeded), their projected
@@ -20,7 +29,7 @@ render::ImageRGB8 ProceduralSource::render_sample(std::size_t row, std::size_t c
   struct Blob {
     double u, v, radius, r_col, g_col, b_col, depth;
   };
-  std::vector<Blob> blobs(static_cast<std::size_t>(kBlobs));
+  std::array<Blob, kBlobs> blobs{};
   for (auto& blob : blobs) {
     blob.u = rng.uniform(-0.6, 0.6);
     blob.v = rng.uniform(-0.6, 0.6);
@@ -63,19 +72,25 @@ render::ImageRGB8 ProceduralSource::render_sample(std::size_t row, std::size_t c
       image.set(x, y, {to_byte(rr), to_byte(gg), to_byte(bb)});
     }
   }
-  return image;
 }
 
 ViewSet ProceduralSource::build(const ViewSetId& id) {
   if (!lattice_.valid(id)) throw std::out_of_range("ProceduralSource: bad view-set id");
   const int span = lattice_.config().view_set_span;
   ViewSet vs(id, span, lattice_.config().view_resolution);
-  for (int lr = 0; lr < span; ++lr) {
-    for (int lc = 0; lc < span; ++lc) {
-      vs.view(lr, lc) = render_sample(static_cast<std::size_t>(id.row * span + lr),
-                                      static_cast<std::size_t>(id.col * span + lc));
-    }
-  }
+  // One task per view, each filling the image the constructor allocated, so
+  // no worker allocates. A view's dither is seeded from its own (row, col),
+  // so its pixels do not depend on the thread that draws them.
+  const auto views = static_cast<std::size_t>(span) * static_cast<std::size_t>(span);
+  ThreadPool::shared().parallel_for(
+      0, views,
+      [&](std::size_t i) {
+        const int lr = static_cast<int>(i) / span;
+        const int lc = static_cast<int>(i) % span;
+        synthesize(static_cast<std::size_t>(id.row * span + lr),
+                   static_cast<std::size_t>(id.col * span + lc), vs.view(lr, lc));
+      },
+      views);
   return vs;
 }
 

@@ -37,6 +37,9 @@ class ProceduralSource final : public ViewSetSource {
   [[nodiscard]] render::ImageRGB8 render_sample(std::size_t row, std::size_t col) const;
 
  private:
+  /// Writes sample view (row, col) into `image`, a view_resolution square.
+  void synthesize(std::size_t row, std::size_t col, render::ImageRGB8& image) const;
+
   SphericalLattice lattice_;
 };
 

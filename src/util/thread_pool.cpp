@@ -5,6 +5,13 @@
 
 namespace lon {
 
+namespace {
+
+// The pool whose worker_loop runs on this thread, if any.
+thread_local const ThreadPool* tls_owner = nullptr;
+
+}  // namespace
+
 ThreadPool& ThreadPool::shared() {
   static ThreadPool* pool = [] {
     std::size_t threads = 0;
@@ -38,6 +45,7 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::worker_loop() {
+  tls_owner = this;
   for (;;) {
     std::function<void()> task;
     {
@@ -61,6 +69,12 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
   const std::size_t n = end - begin;
   if (chunks == 0) chunks = std::min(n, size() * 2);
   chunks = std::max<std::size_t>(1, std::min(chunks, n));
+  if (chunks == 1 || tls_owner == this) {
+    // Inline: one chunk gains nothing from a hand-off, and a worker that
+    // queued chunks behind itself and waited could deadlock the pool.
+    for (std::size_t i = begin; i < end; ++i) fn(i);
+    return;
+  }
   const std::size_t per = (n + chunks - 1) / chunks;
 
   std::vector<std::future<void>> futures;

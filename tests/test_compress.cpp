@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <string>
 
@@ -12,6 +14,7 @@
 #include "compress/huffman.hpp"
 #include "compress/lfz.hpp"
 #include "compress/lz77.hpp"
+#include "lightfield/procedural.hpp"
 #include "util/buffer_pool.hpp"
 #include "util/rng.hpp"
 
@@ -194,7 +197,221 @@ TEST(Lz77, ExpandRejectsBadReferences) {
   EXPECT_THROW(lz77_expand(tokens), DecodeError);
 }
 
+// --- segmented parse --------------------------------------------------------------
+
+/// The serial tokenizer as it was before the segmented parse: one pass from
+/// position 0 over a full-length `prev` array, with the matcher constants of
+/// lz77.cpp. lz77_tokenize must emit exactly its tokens for any input.
+std::vector<Token> reference_tokenize(std::span<const std::uint8_t> data) {
+  constexpr std::uint32_t kHashBits = 15;
+  constexpr std::int32_t kNil = -1;
+  constexpr int kMaxChain = 128;
+  constexpr std::uint32_t kGoodEnough = 128;
+  auto hash3 = [](const std::uint8_t* p) {
+    const std::uint32_t v = static_cast<std::uint32_t>(p[0]) |
+                            (static_cast<std::uint32_t>(p[1]) << 8) |
+                            (static_cast<std::uint32_t>(p[2]) << 16);
+    return (v * 2654435761u) >> (32 - kHashBits);
+  };
+  std::vector<Token> tokens;
+  const std::size_t n = data.size();
+  if (n == 0) return tokens;
+  std::vector<std::int32_t> head(1u << kHashBits, kNil);
+  std::vector<std::int32_t> prev(n, kNil);
+  auto insert = [&](std::size_t pos) {
+    if (pos + kMinMatch > n) return;
+    const std::uint32_t h = hash3(data.data() + pos);
+    prev[pos] = head[h];
+    head[h] = static_cast<std::int32_t>(pos);
+  };
+  // Eight bytes at a time, as lz77.cpp compares: the first differing byte is
+  // the lowest one set in the XOR of the two words.
+  auto common_prefix = [&](std::size_t a, std::size_t b, std::uint32_t limit) {
+    std::uint32_t len = 0;
+    for (; len + 8 <= limit; len += 8) {
+      std::uint64_t x = 0;
+      std::uint64_t y = 0;
+      std::memcpy(&x, &data[a + len], 8);
+      std::memcpy(&y, &data[b + len], 8);
+      if (x != y) {
+        const int zeros = std::endian::native == std::endian::little
+                              ? std::countr_zero(x ^ y)
+                              : std::countl_zero(x ^ y);
+        return len + static_cast<std::uint32_t>(zeros >> 3);
+      }
+    }
+    while (len < limit && data[a + len] == data[b + len]) ++len;
+    return len;
+  };
+  auto find_match = [&](std::size_t pos) -> Token {
+    if (pos + kMinMatch > n) return Token::make_literal(data[pos]);
+    const auto limit =
+        static_cast<std::uint32_t>(std::min<std::size_t>(kMaxMatch, n - pos));
+    std::uint32_t best_len = 0;
+    std::uint32_t best_dist = 0;
+    std::int32_t candidate = head[hash3(data.data() + pos)];
+    int chain = kMaxChain;
+    while (candidate != kNil && chain-- > 0) {
+      const auto cpos = static_cast<std::size_t>(candidate);
+      if (pos - cpos > kWindowSize) break;
+      const std::uint32_t len = common_prefix(cpos, pos, limit);
+      if (len > best_len) {
+        best_len = len;
+        best_dist = static_cast<std::uint32_t>(pos - cpos);
+        if (len >= kGoodEnough || len == limit) break;
+      }
+      candidate = prev[cpos];
+    }
+    if (best_len >= kMinMatch) return Token::make_match(best_len, best_dist);
+    return Token::make_literal(data[pos]);
+  };
+  std::size_t pos = 0;
+  while (pos < n) {
+    Token token = find_match(pos);
+    if (!token.is_literal() && pos + 1 < n) {
+      insert(pos);
+      const Token next = find_match(pos + 1);
+      if (!next.is_literal() && next.length > token.length) {
+        tokens.push_back(Token::make_literal(data[pos]));
+        ++pos;
+        token = next;
+        insert(pos);
+      }
+      const std::size_t advance = token.is_literal() ? 1 : token.length;
+      tokens.push_back(token);
+      for (std::size_t k = 1; k < advance; ++k) insert(pos + k);
+      pos += advance;
+      continue;
+    }
+    const std::size_t advance = token.is_literal() ? 1 : token.length;
+    tokens.push_back(token);
+    for (std::size_t k = 0; k < advance; ++k) insert(pos + k);
+    pos += advance;
+  }
+  return tokens;
+}
+
+/// Index of the first token where the two streams differ, or -1.
+long first_difference(const std::vector<Token>& a, const std::vector<Token>& b) {
+  for (std::size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
+    if (a[i].length != b[i].length || a[i].distance != b[i].distance ||
+        a[i].literal != b[i].literal) {
+      return static_cast<long>(i);
+    }
+  }
+  return a.size() == b.size() ? -1 : static_cast<long>(std::min(a.size(), b.size()));
+}
+
+void expect_reference_tokens(const Bytes& input) {
+  const std::vector<Token> got = lz77_tokenize(input);
+  EXPECT_EQ(first_difference(got, reference_tokenize(input)), -1)
+      << "input of " << input.size();
+  EXPECT_EQ(lz77_expand(got, input.size()), input);
+}
+
+// The parse cuts at most 8 segments of at least 128 KiB each, so these sizes
+// give 1, 2, 3 and 8 (the most) segments.
+constexpr std::size_t kOneSegment = 200'000;
+constexpr std::size_t kTwoSegments = 300'000;
+constexpr std::size_t kThreeSegments = 450'000;
+constexpr std::size_t kEightSegments = 1'050'000;
+
+Bytes random_bytes(std::size_t size, std::uint32_t alphabet, std::uint64_t seed) {
+  Rng rng(seed);
+  Bytes out(size);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng.below(alphabet));
+  return out;
+}
+
+TEST(Lz77, SegmentedParseMatchesReference) {
+  // The paper_case3 set shape: 100^2 views, span 6, serialized as published.
+  lightfield::ProceduralSource source(lightfield::LatticeConfig::paper(100));
+  const Bytes set = source.build({5, 11}).serialize();
+  ASSERT_GE(set.size(), kEightSegments);
+  expect_reference_tokens(set);
+
+  // A 2-bit alphabet: every match search walks the full chain, the slowest
+  // content for both parses, so it runs at the smallest multi-segment size.
+  expect_reference_tokens(random_bytes(kTwoSegments, 4, 3));
+
+  for (const std::size_t size :
+       {kOneSegment, kTwoSegments, kThreeSegments, kEightSegments}) {
+    expect_reference_tokens(random_bytes(size, 256, size));
+    // Long runs of random length and value.
+    Rng rng(size + 2);
+    Bytes runs;
+    while (runs.size() < size) {
+      const std::size_t run =
+          std::min<std::size_t>(1 + rng.below(3000), size - runs.size());
+      runs.insert(runs.end(), run, static_cast<std::uint8_t>(rng.below(256)));
+    }
+    expect_reference_tokens(runs);
+  }
+
+  for (std::size_t size = 0; size <= 3; ++size) {
+    expect_reference_tokens(random_bytes(size, 2, 7));
+  }
+}
+
+TEST(Lz77, SegmentedParseMatchesReferenceAcrossBoundaries) {
+  // Two segments of 131,073 bytes: the boundary sits at an odd offset.
+  constexpr std::size_t kSize = 262'146;
+  constexpr std::size_t kBoundary = kSize / 2;
+
+  // A match that crosses the boundary: random bytes with an earlier block
+  // repeated over it.
+  Bytes crossing = random_bytes(kSize, 256, 11);
+  std::copy_n(crossing.begin() + static_cast<long>(kBoundary) - 20'000, 2'000,
+              crossing.begin() + static_cast<long>(kBoundary) - 1'000);
+  expect_reference_tokens(crossing);
+
+  // Matches at the far edge of the window, from the second segment's first
+  // bytes: their sources sit exactly and nearly 32 KiB back, at the start of
+  // the warm-up.
+  Bytes edge = random_bytes(kSize, 256, 13);
+  std::copy_n(edge.begin() + static_cast<long>(kBoundary - kWindowSize), 40,
+              edge.begin() + static_cast<long>(kBoundary));
+  std::copy_n(edge.begin() + static_cast<long>(kBoundary - kWindowSize + 70), 40,
+              edge.begin() + static_cast<long>(kBoundary + 60));
+  expect_reference_tokens(edge);
+
+  // A segment inside one long run: its parse is nothing but 258-byte matches.
+  Bytes covered = random_bytes(kThreeSegments, 256, 12);
+  std::fill(covered.begin() + 100'000, covered.begin() + 350'000, std::uint8_t{7});
+  expect_reference_tokens(covered);
+
+  // A periodic "abab..." input. The serial parse starts every step after the
+  // first two at an even position, and the second segment's parse starts
+  // every one at an odd position, so the two never meet: the join has to
+  // parse the whole second segment itself.
+  Bytes periodic(kSize);
+  for (std::size_t i = 0; i < kSize; ++i) periodic[i] = (i % 2 == 0) ? 'a' : 'b';
+  ASSERT_EQ(kBoundary % 2, 1u);
+  std::size_t pos = 0;
+  for (const Token& t : reference_tokenize(periodic)) {
+    if (!t.is_literal()) {
+      EXPECT_EQ(pos % 2, 0u);
+    }
+    pos += t.is_literal() ? 1 : t.length;
+  }
+  expect_reference_tokens(periodic);
+}
+
 // --- lfz container ----------------------------------------------------------------
+
+TEST(Lfz, SymbolTablesMatchTheLinearScan) {
+  auto scan = [](const auto& codes, std::uint32_t value) {
+    std::size_t i = codes.size() - 1;
+    while (codes[i].base > value) --i;
+    return static_cast<std::uint32_t>(i);
+  };
+  for (std::uint32_t length = kMinMatch; length <= kMaxMatch; ++length) {
+    ASSERT_EQ(length_symbol(length), 257 + scan(kLengthCodes, length)) << length;
+  }
+  for (std::uint32_t distance = 1; distance <= kWindowSize; ++distance) {
+    ASSERT_EQ(distance_symbol(distance), scan(kDistCodes, distance)) << distance;
+  }
+}
 
 class LfzRoundTrip : public ::testing::TestWithParam<std::size_t> {};
 

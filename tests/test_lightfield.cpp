@@ -436,6 +436,36 @@ TEST(Builders, ProceduralBytesArePinned) {
   EXPECT_EQ(crc32(packed), 0x8506d43fu);
 }
 
+TEST(Builders, ProceduralBuildMatchesRenderSample) {
+  // build() draws its views across the shared pool; each must equal the view
+  // render_sample draws alone.
+  const LatticeConfig cfg = small_config(24);
+  ProceduralSource source(cfg);
+  const ViewSetId id{2, 5};
+  const ViewSet built = source.build(id);
+  ViewSet assembled(id, cfg.view_set_span, cfg.view_resolution);
+  for (int lr = 0; lr < cfg.view_set_span; ++lr) {
+    for (int lc = 0; lc < cfg.view_set_span; ++lc) {
+      assembled.view(lr, lc) =
+          source.render_sample(static_cast<std::size_t>(id.row * cfg.view_set_span + lr),
+                               static_cast<std::size_t>(id.col * cfg.view_set_span + lc));
+    }
+  }
+  EXPECT_EQ(built, assembled);
+}
+
+TEST(Builders, PaperShapeCompressedBytesArePinned) {
+  // A paper_case3-shaped set (100^2 views, span 6) is over a megabyte, so
+  // its encode runs the segmented LZ77 parse on eight segments. Its bytes
+  // were pinned from the serial parse: FNV-1a 64 of the container.
+  ProceduralSource source(LatticeConfig::paper(100));
+  const Bytes packed = source.build({5, 11}).compress();
+  std::uint64_t digest = 14695981039346656037ull;
+  for (const std::uint8_t byte : packed) digest = (digest ^ byte) * 1099511628211ull;
+  EXPECT_EQ(packed.size(), 260'469u);
+  EXPECT_EQ(digest, 0x1efa171406ddfaacull);
+}
+
 TEST(Builders, ProceduralCompressionRatioInPaperRange) {
   ProceduralSource source(small_config(128));
   const ViewSet vs = source.build({1, 2});

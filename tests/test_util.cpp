@@ -264,6 +264,24 @@ TEST(ThreadPool, ParallelForEmptyRangeIsNoop) {
   EXPECT_FALSE(ran);
 }
 
+TEST(ThreadPool, NestedParallelForRunsOnItsOwnWorker) {
+  // Both workers run a task that itself calls parallel_for on the pool. Had
+  // they queued their chunks behind themselves and waited, neither chunk
+  // could ever start.
+  ThreadPool pool(2);
+  std::vector<std::atomic<int>> hits(16);
+  auto task = [&](std::size_t t) {
+    return [&, t] {
+      pool.parallel_for(0, 8, [&](std::size_t i) { hits[t * 8 + i].fetch_add(1); });
+    };
+  };
+  auto a = pool.submit(task(0));
+  auto b = pool.submit(task(1));
+  a.get();
+  b.get();
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
 TEST(ThreadPool, ManySmallTasksAllComplete) {
   ThreadPool pool(4);
   std::atomic<int> count{0};
